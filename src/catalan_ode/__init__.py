@@ -1,6 +1,6 @@
 """Exact-arithmetic Catalan number library and identity verifier."""
 
-from .algebraic import AlgebraicElement, Polynomial, RationalFunction
+from .algebraic import AlgebraicElement
 from .catalan import (
     catalan_asymptotic_ratio,
     catalan_closed,
@@ -50,9 +50,7 @@ from .series import (
 __all__ = [
     "AlgebraicElement",
     "CoeffTable",
-    "Polynomial",
     "Rational",
-    "RationalFunction",
     "RunConfig",
     "Series",
     "VerificationReport",

@@ -1,340 +1,147 @@
-"""Exact arithmetic in the field Q(t)[s] / (s^2 = 1 - 4t).
+"""Exact arithmetic in the ring Z[1/d, 1/t, 1/(1-4t)][s] with s^2 = 1 - 4t.
 
-Elements are written a(t) + b(t)*s with a, b rational functions of t and s
-standing for sqrt(1-4t).  The Catalan generating function lives here as
-(1 - s)/(2t), and the derivation d/dt extends to the whole field via
-s' = -2s/(1-4t).  Because every value is kept in a canonical normal form
-(reduced fractions, monic denominators), identity checks reduce to a
-structural zero test with no truncation involved.
+An element is one canonical record (P, Q, d, a, b) standing for
+(P + Q*s) / (d * t^a * u^b), where u = 1 - 4t, P and Q are integer
+polynomials (lowest degree first, no trailing zeros), d >= 1 and a, b >= 0.
+These are the only denominators the paper's two ODE families produce: the
+Catalan generating function is (1 - s)/(2t), 1/s = s/u, and d/dt adds one
+factor each of t and u.
+
+Every operation ends by stripping common factors of t (while a > 0), of u
+(while b > 0; exact division, integral by Gauss's lemma) and the integer gcd
+of d and the contents of P and Q.  That form is unique, so the zero test is
+P == Q == 0 and equality is structural; no polynomial gcd is needed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
-from math import lcm
+from math import comb, gcd, lcm
 
-from .series import Series, binomial_power_series, unit_inverse
-
-# Abort runaway polynomial growth instead of grinding forever; the paper's
-# expressions stay far below this for the verification envelopes used here.
-DEGREE_CAP = 4096
+from .series import Series, binomial_power_series
 
 
-class Polynomial:
-    """Dense polynomial over Fraction, lowest degree first, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no valuation")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return Polynomial(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            if c:
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial((i + 1) * c for i, c in enumerate(self.coeffs[1:]))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading)
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-POLY_ZERO = Polynomial()
-POLY_ONE = Polynomial((1,))
-POLY_T = Polynomial((0, 1))
-ONE_MINUS_4T = Polynomial((1, -4))
+def _add(p, q) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
 
 
-def _to_primitive_int(p: Polynomial) -> list[int]:
-    """Scale a nonzero polynomial to integer coefficients with content 1 and
-    positive leading coefficient."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _mul(p, q, n: int | None = None) -> list[int]:
+    """Product of two coefficient lists, truncated to n terms if n is given."""
+    size = len(p) + len(q) - 1 if p and q else 0
+    if n is not None:
+        size = min(size, n)
+    out = [0] * size
+    for i, x in enumerate(p[:size]):
+        if x:
+            for j, y in enumerate(q[: size - i]):
+                out[i + j] += x * y
+    return out
 
 
-def _int_primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return ints
-    g = 0
-    for c in ints:
-        g = int_gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _div_u(p) -> list[int] | None:
+    """p / (1 - 4t) if the division is exact, else None."""
+    quot, carry = [], 0
+    for c in p[:-1]:
+        carry = c + 4 * carry
+        quot.append(carry)
+    return quot if not p or p[-1] == -4 * carry else None
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over the integers (a scaled by powers of
-    lc(b) along the way, so no division ever happens)."""
-    rem = list(a)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        top = rem[k + len(b) - 1]
-        rem = [lead * c for c in rem]
-        for j, bj in enumerate(b):
-            rem[k + j] -= top * bj
-        del rem[k + len(b) - 1]
-    return rem
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q via content extraction and primitive-part Euclid
-    on integer polynomials (pseudo-remainders keep everything in Z)."""
-    if a.is_zero():
-        return b.monic() if not b.is_zero() else POLY_ZERO
-    if b.is_zero():
-        return a.monic()
-    A = _to_primitive_int(a)
-    B = _to_primitive_int(b)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        A, B = B, _int_primitive(_int_prem(A, B))
-    return Polynomial(A).monic()
-
-
-class RationalFunction:
-    """Quotient of polynomials in canonical form: reduced, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = POLY_ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in rational function")
-        if num.is_zero():
-            self.num, self.den = POLY_ZERO, POLY_ONE
-            return
-        if max(num.degree, den.degree) > DEGREE_CAP:
-            raise OverflowError(
-                f"rational function degree exceeds cap {DEGREE_CAP} "
-                f"(num {num.degree}, den {den.degree})"
-            )
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        scale = 1 / den.leading
-        self.num = num * scale
-        self.den = den * scale
-
-    @staticmethod
-    def from_rational(c) -> "RationalFunction":
-        return RationalFunction(Polynomial((c,)))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        out = object.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero")
-        return RationalFunction(self.den, self.num)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __repr__(self):
-        return f"({list(self.num.coeffs)})/({list(self.den.coeffs)})"
-
-
-RF_ZERO = RationalFunction(POLY_ZERO)
-RF_ONE = RationalFunction(POLY_ONE)
-RF_ONE_MINUS_4T = RationalFunction(ONE_MINUS_4T)
+def _u_power(k: int) -> list[int]:
+    return [comb(k, m) * (-4) ** m for m in range(k + 1)]
 
 
 class AlgebraicElement:
-    """a(t) + b(t)*s with s^2 = 1 - 4t; the field where every identity of the
-    two ODE families can be checked exactly."""
+    """(P + Q*s) / (d * t^a * (1-4t)^b) with s^2 = 1 - 4t; the ring where every
+    identity of the two ODE families can be checked exactly."""
 
-    __slots__ = ("even", "odd")
+    __slots__ = ("P", "Q", "d", "a", "b")
 
-    def __init__(self, even: RationalFunction, odd: RationalFunction = RF_ZERO):
-        self.even = even
-        self.odd = odd
+    def __init__(self, P=(), Q=(), d: int = 1, a: int = 0, b: int = 0):
+        if d < 1 or a < 0 or b < 0:
+            raise ValueError("need d >= 1 and a, b >= 0")
+        P, Q = _trim(list(P)), _trim(list(Q))
+        if not P and not Q:
+            d, a, b = 1, 0, 0
+        while a and not (P and P[0]) and not (Q and Q[0]):
+            P, Q, a = P[1:], Q[1:], a - 1
+        while b and (p := _div_u(P)) is not None and (q := _div_u(Q)) is not None:
+            P, Q, b = p, q, b - 1
+        g = gcd(d, *P, *Q)
+        if g > 1:
+            P, Q, d = [c // g for c in P], [c // g for c in Q], d // g
+        self.P, self.Q, self.d, self.a, self.b = tuple(P), tuple(Q), d, a, b
 
     @staticmethod
     def from_rational(c) -> "AlgebraicElement":
-        return AlgebraicElement(RationalFunction.from_rational(c))
+        c = Fraction(c)
+        return AlgebraicElement((c.numerator,), (), c.denominator)
 
     @staticmethod
     def sqrt_one_minus_4t() -> "AlgebraicElement":
-        return AlgebraicElement(RF_ZERO, RF_ONE)
+        return AlgebraicElement((), (1,))
 
     @staticmethod
     def catalan() -> "AlgebraicElement":
         """The Catalan generating function 2/(1+s), in normal form (1-s)/(2t)."""
-        half_over_t = RationalFunction(POLY_ONE, Polynomial((0, 2)))
-        return AlgebraicElement(half_over_t, -half_over_t)
+        return AlgebraicElement((1,), (-1,), 2, 1)
 
     @staticmethod
     def half_power(e: int) -> "AlgebraicElement":
         """s^e: even e gives (1-4t)^(e/2); odd e keeps one factor of s;
-        negative exponents go through the field inverse."""
+        negative exponents go through the unit inverse."""
         if e < 0:
             return AlgebraicElement.half_power(-e).inverse()
         q, r = divmod(e, 2)
-        poly = POLY_ONE
-        for _ in range(q):
-            poly = poly * ONE_MINUS_4T
-        rf = RationalFunction(poly)
-        if r == 0:
-            return AlgebraicElement(rf)
-        return AlgebraicElement(RF_ZERO, rf)
+        return AlgebraicElement((), _u_power(q)) if r else AlgebraicElement(_u_power(q))
 
     def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
+        return not self.P and not self.Q
+
+    def _key(self):
+        return self.P, self.Q, self.d, self.a, self.b
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraicElement)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
+        return isinstance(other, AlgebraicElement) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.even, self.odd))
+        return hash(self._key())
+
+    def _lift(self, d: int, a: int, b: int):
+        """P and Q over the larger denominator d * t^a * u^b."""
+        f = [0] * (a - self.a) + [d // self.d * c for c in _u_power(b - self.b)]
+        return _mul(self.P, f), _mul(self.Q, f)
 
     def __add__(self, other: "AlgebraicElement") -> "AlgebraicElement":
-        return AlgebraicElement(self.even + other.even, self.odd + other.odd)
+        d, a, b = lcm(self.d, other.d), max(self.a, other.a), max(self.b, other.b)
+        (p1, q1), (p2, q2) = self._lift(d, a, b), other._lift(d, a, b)
+        return AlgebraicElement(_add(p1, p2), _add(q1, q2), d, a, b)
 
     def __neg__(self) -> "AlgebraicElement":
-        return AlgebraicElement(-self.even, -self.odd)
+        return self * -1
 
     def __sub__(self, other: "AlgebraicElement") -> "AlgebraicElement":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            c = RationalFunction.from_rational(other)
-            return AlgebraicElement(self.even * c, self.odd * c)
-        a, b = self.even, self.odd
-        c, d = other.even, other.odd
-        return AlgebraicElement(a * c + b * d * RF_ONE_MINUS_4T, a * d + b * c)
+            other = AlgebraicElement.from_rational(other)
+        p1, q1, p2, q2 = self.P, self.Q, other.P, other.Q
+        return AlgebraicElement(
+            _add(_mul(p1, p2), _mul(_mul(q1, q2), (1, -4))),
+            _add(_mul(p1, q2), _mul(q1, p2)),
+            self.d * other.d, self.a + other.a, self.b + other.b,
+        )
 
     __rmul__ = __mul__
 
@@ -346,68 +153,66 @@ class AlgebraicElement:
             out = out * self
         return out
 
+    def _norm(self) -> tuple[int, list[int]]:
+        """(i, n) with P^2 - Q^2 (1-4t) = t^i n and n(0) != 0.  The norm is
+        (P + Qs)(P - Qs), nonzero for a nonzero element."""
+        norm = _add(_mul(self.P, self.P), [-c for c in _mul(_mul(self.Q, self.Q), (1, -4))])
+        i = next(k for k, c in enumerate(norm) if c)
+        return i, norm[i:]
+
+    def valuation_bound(self) -> int:
+        """An upper bound on the index of the first nonzero Taylor coefficient
+        of a nonzero element: i - a, since P - Qs has valuation >= 0."""
+        if self.is_zero():
+            raise ValueError("zero has no valuation")
+        return self._norm()[0] - self.a
+
     def inverse(self) -> "AlgebraicElement":
+        """The inverse of a unit, an element whose norm is c t^i (1-4t)^j."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero")
-        a, b = self.even, self.odd
-        norm = a * a - b * b * RF_ONE_MINUS_4T
-        inv = norm.inverse()
-        return AlgebraicElement(a * inv, -(b * inv))
+        (i, norm), j = self._norm(), 0
+        while (quot := _div_u(norm)) is not None:
+            norm, j = quot, j + 1
+        if len(norm) != 1:
+            raise ValueError("element is not a unit of the ring")
+        c = norm[0]
+        f = [0] * self.a + [self.d * (1 if c > 0 else -1) * x for x in _u_power(self.b)]
+        return AlgebraicElement(_mul(self.P, f), _mul([-x for x in self.Q], f), abs(c), i, j)
 
     def derivative(self) -> "AlgebraicElement":
-        # (b s)' = b' s + b s' with s' = -2s/(1-4t)
-        a, b = self.even, self.odd
-        correction = RationalFunction(Polynomial((-2,)), ONE_MINUS_4T)
-        return AlgebraicElement(a.derivative(), b.derivative() + b * correction)
+        # Over d t^(a+1) u^(b+1), with s' = -2s/u and
+        # (t^a u^b)' t u / (t^a u^b) = a u - 4 b t:
+        #   P' t u - P (a u - 4bt)   and   Q' t u - 2Qt - Q (a u - 4bt).
+        a, b = self.a, self.b
+        tu = (0, 1, -4)
+        dP = [i * c for i, c in enumerate(self.P)][1:]
+        dQ = [i * c for i, c in enumerate(self.Q)][1:]
+        return AlgebraicElement(
+            _add(_mul(dP, tu), _mul(self.P, (-a, 4 * (a + b)))),
+            _add(_mul(dQ, tu), _mul(self.Q, (-a, 4 * (a + b) - 2))),
+            self.d, a + 1, b + 1,
+        )
 
     def to_series(self, order: int) -> Series:
-        """Taylor coefficients 0..order of a(t) + b(t)sqrt(1-4t).
+        """Taylor coefficients 0..order of the element.
 
         Raises if the element (as a Laurent expansion at t=0) has a pole;
-        the individual parts may each have one as long as they cancel.
+        P and Q*s may each have one as long as they cancel.
         """
-        parts: dict[int, Fraction] = {}
-
-        def laurent(rf: RationalFunction):
-            if rf.is_zero():
-                return 0, []
-            vn, vd = rf.num.valuation, rf.den.valuation
-            shift = vn - vd
-            n_low = rf.num.coeffs[vn:]
-            d_low = rf.den.coeffs[vd:]
-            terms = order - shift
-            if terms < 0:
-                return shift, []
-            inv = unit_inverse(d_low, terms)
-            out = []
-            for n in range(terms + 1):
-                acc = Fraction(0)
-                for k in range(min(n, len(n_low) - 1) + 1):
-                    if n_low[k]:
-                        acc += n_low[k] * inv[n - k]
-                out.append(acc)
-            return shift, out
-
-        sa, ca = laurent(self.even)
-        for j, c in enumerate(ca):
-            if c:
-                parts[sa + j] = parts.get(sa + j, Fraction(0)) + c
-
-        sb, cb = laurent(self.odd)
-        if cb:
-            sqrt_cs = binomial_power_series(Fraction(1, 2), order - sb).coeffs
-            for e in range(sb, order + 1):
-                acc = Fraction(0)
-                for j in range(e - sb + 1):
-                    if cb[j]:
-                        acc += cb[j] * sqrt_cs[e - sb - j]
-                if acc:
-                    parts[e] = parts.get(e, Fraction(0)) + acc
-
-        for e, c in parts.items():
-            if e < 0 and c:
-                raise ValueError("element not regular at origin")
-        return Series(parts.get(n, Fraction(0)) for n in range(order + 1))
+        n = order + self.a + 1
+        num = list(self.P[:n])
+        if self.Q:
+            sqrt_cs = [int(c) for c in binomial_power_series(Fraction(1, 2), n - 1).coeffs]
+            num = _add(num, _mul(self.Q, sqrt_cs, n))
+        if self.b:
+            inv_cs = [int(c) for c in binomial_power_series(-self.b, n - 1).coeffs]
+            num = _mul(num, inv_cs, n)
+        num += [0] * (n - len(num))
+        if any(num[: self.a]):
+            raise ValueError("element not regular at origin")
+        return Series(Fraction(c, self.d) for c in num[self.a:])
 
     def __repr__(self):
-        return f"AlgebraicElement(even={self.even!r}, odd={self.odd!r})"
+        return (f"AlgebraicElement(P={list(self.P)}, Q={list(self.Q)}, "
+                f"d={self.d}, a={self.a}, b={self.b})")

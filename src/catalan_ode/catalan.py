@@ -16,19 +16,21 @@ def catalan_closed(n: int) -> int:
         raise ValueError("n must be >= 0")
     num = comb(2 * n, n)
     q, r = divmod(num, n + 1)
-    assert r == 0, "Catalan divisibility violated"
+    if r:
+        raise ArithmeticError("Catalan divisibility violated")
     return q
 
 
 def catalan_product(n: int) -> int:
     """C_n via the product of (n+k)/k for k = 2..n, kept exact-rational
-    throughout and asserted integral at the end."""
+    throughout and checked integral at the end."""
     if n < 0:
         raise ValueError("n must be >= 0")
     out = Fraction(1)
     for k in range(2, n + 1):
         out *= Fraction(n + k, k)
-    assert out.denominator == 1, "Catalan product formula not integral"
+    if out.denominator != 1:
+        raise ArithmeticError("Catalan product formula not integral")
     return out.numerator
 
 

@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conv-max", type=int, default=200)
     p.add_argument("--format", dest="fmt", choices=("human", "json"), default="human")
     p.add_argument("--parallelism", type=int, default=None,
-                   help=f"worker count; 0 = auto; overrides ${ENV_THREADS}")
+                   help="worker count; 0 and 1 both mean one worker; "
+                        f"overrides ${ENV_THREADS}")
 
     p = sub.add_parser("crosscheck", help="check Catalan values against a b-file")
     p.add_argument("--bfile", required=True)

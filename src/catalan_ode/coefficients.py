@@ -80,7 +80,8 @@ def _sum_terms(i: int, n: int, budget: int, k_rest_sum: int, level: int) -> int:
         factor = shifted_factorial(x, 2, k)
         inner = _sum_terms(i, n, budget - k, k_rest_sum + k, level - 1)
         term = factor * inner
-        assert term.denominator == 1
+        if term.denominator != 1:
+            raise ArithmeticError(f"a-family closed-form term {term} is not an integer")
         total += term.numerator
     return total
 

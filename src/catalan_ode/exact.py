@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: big rationals and factorial-type products.
 
-Everything downstream (series, field elements, coefficient tables) is built
+Everything downstream (series, ring elements, coefficient tables) is built
 on :class:`fractions.Fraction`, which already keeps values in canonical form
 (reduced, positive denominator, 0/1 for zero).
 """

@@ -27,7 +27,7 @@ class RunConfig:
     terms_eq62: int = 2000
     conv_max: int = 200       # n bound for the convolution recurrences
     fmt: str = "human"
-    parallelism: int = 0      # 0 = auto
+    parallelism: int = 0      # 0 and 1 both mean one worker
 
     def validate(self) -> None:
         if self.max_n_deriv < 1 or self.max_index < 1 or self.conv_max < 2:
@@ -73,9 +73,10 @@ def _jobs_for(identity: str, cfg: RunConfig):
         jobs.append(lambda: ids.report_eq59(cfg.terms_eq59))
     elif identity == "eq62":
         jobs.append(lambda: ids.report_eq62(cfg.terms_eq62))
-    elif identity in ("eq64", "eq66"):
-        which = 0 if identity == "eq64" else 1
-        jobs.append(lambda: ids.verify_convolution_recurrences(cfg.conv_max)[which])
+    elif identity == "eq64":
+        jobs.append(lambda: ids.verify_eq64(cfg.conv_max))
+    elif identity == "eq66":
+        jobs.append(lambda: ids.verify_eq66(cfg.conv_max))
     elif identity == "asymptotic":
         jobs.append(lambda: ids.verify_asymptotic())
     else:

@@ -115,22 +115,3 @@ def sqrt_one_plus_series(order: int) -> Series:
 
     return Series(term(n) for n in range(order + 1))
 
-
-def unit_inverse(coeffs, order: int) -> list[Fraction]:
-    """Coefficients 0..order of 1/f for a series f with nonzero constant term.
-
-    Internal helper (series division is deliberately not part of the public
-    ring surface); used by the algebraic-field bridge.
-    """
-    c0 = Fraction(coeffs[0])
-    if not c0:
-        raise ZeroDivisionError("series has zero constant term")
-    inv = [1 / c0]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, min(n, len(coeffs) - 1) + 1):
-            ck = coeffs[k]
-            if ck:
-                acc += Fraction(ck) * inv[n - k]
-        inv.append(-acc / c0)
-    return inv

@@ -1,164 +1,179 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalan_ode.algebraic import (
-    ONE_MINUS_4T,
-    AlgebraicElement,
-    Polynomial,
-    RationalFunction,
-    poly_gcd,
-)
+from catalan_ode.algebraic import AlgebraicElement
 from catalan_ode.series import Series, binomial_power_series, catalan_series, first_mismatch
 
-ONE = AlgebraicElement.from_rational(1)
-TWO = AlgebraicElement.from_rational(2)
-S = AlgebraicElement.sqrt_one_minus_4t()
+E = AlgebraicElement
+ONE = E.from_rational(1)
+TWO = E.from_rational(2)
+S = E.sqrt_one_minus_4t()
+T = E((0, 1))
+U = E((1, -4))  # 1 - 4t
 
-
-def rf(num, den=(1,)):
-    return RationalFunction(Polynomial(num), Polynomial(den))
-
-
-def elem(even_num, even_den=(1,), odd_num=(), odd_den=(1,)):
-    return AlgebraicElement(rf(even_num, even_den), rf(odd_num, odd_den))
-
-
-small_coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
-small_poly = small_coeffs.map(Polynomial)
-nonzero_poly = small_poly.filter(lambda p: not p.is_zero())
-small_rf = st.builds(RationalFunction, small_poly, nonzero_poly)
-small_elem = st.builds(AlgebraicElement, small_rf, small_rf)
+small_coeffs = st.lists(st.integers(-4, 4), max_size=3)
+small_elem = st.builds(E, small_coeffs, small_coeffs,
+                       st.integers(1, 6), st.integers(0, 2), st.integers(0, 2))
 nonzero_elem = small_elem.filter(lambda x: not x.is_zero())
+
+# Units of the ring: products of s, t, 2, 1-4t, 1+s, 1-s, s^-3, -1 and inverses.
+UNIT_FACTORS = [S, T, TWO, U, ONE + S, ONE - S, E.half_power(-3), -ONE]
+UNIT_FACTORS += [f.inverse() for f in UNIT_FACTORS]
+unit_elem = st.lists(st.sampled_from(UNIT_FACTORS), min_size=1, max_size=4).map(
+    lambda fs: reduce(mul, fs)
+)
 
 
 class TestPolynomial:
+    """The integer numerator polynomials P and Q of (P + Q s)/(d t^a u^b)."""
+
     def test_trailing_zeros_stripped(self):
-        assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
-        assert Polynomial([0, 0]).is_zero()
+        x = E([1, 2, 0, 0], [0, 0])
+        assert x.P == (1, 2) and x.Q == ()
+        assert E([0, 0]).is_zero()
 
     def test_divmod_exact(self):
-        p = Polynomial([1, -4]) * Polynomial([2, 0, 3])
-        q, r = divmod(p, Polynomial([1, -4]))
-        assert r.is_zero() and q == Polynomial([2, 0, 3])
+        # (1-4t)(2 + 3t^2) and (1-4t) over (1-4t): one factor u divides out
+        x = E([2, -8, 3, -12], [1, -4], 1, 0, 1)
+        assert (x.P, x.Q, x.b) == ((2, 0, 3), (1,), 0)
+        # 1 + 4t is not a multiple of 1 - 4t, so the denominator stays
+        assert E([1, 4], (), 1, 0, 1).b == 1
 
     def test_gcd_common_factor(self):
-        common = Polynomial([1, 1])
-        a = common * Polynomial([2, 6])
-        b = common * Polynomial([0, 0, 5])
-        assert poly_gcd(a, b) == common
+        x = E([6, 12], [18], 30)
+        assert (x.P, x.Q, x.d) == ((1, 2), (3,), 5)
 
     def test_gcd_coprime_is_one(self):
-        assert poly_gcd(Polynomial([1, 1]), Polynomial([1, -1])) == Polynomial([1])
+        x = E([2, 4], [6], 5)
+        assert (x.P, x.Q, x.d) == ((2, 4), (6,), 5)
 
-    @given(small_poly, small_poly, nonzero_poly)
-    def test_gcd_divides_both(self, a, b, scale):
-        a, b = a * scale, b * scale
-        if a.is_zero() and b.is_zero():
-            return
-        g = poly_gcd(a, b)
-        for p in (a, b):
-            if not p.is_zero():
-                _, rem = divmod(p, g)
-                assert rem.is_zero()
+    @given(small_elem, st.integers(1, 6))
+    def test_gcd_divides_both(self, x, k):
+        assert gcd(x.d, *x.P, *x.Q) == 1
+        scaled = E([k * c for c in x.P], [k * c for c in x.Q], k * x.d, x.a, x.b)
+        assert scaled == x
 
 
 class TestRationalFunction:
+    """Elements with Q = 0: the rational functions P/(d t^a u^b)."""
+
     def test_canonical_form(self):
-        # (2t+2)/(4t^2-4) reduces to (1/2)/(t-1), monic denominator
-        x = rf([2, 2], [-4, 0, 4])
-        assert x == rf([Fraction(1, 2)], [-1, 1])
+        # 2t(1-4t) / (4 t^2 (1-4t)) reduces to 1/(2t)
+        x = E([0, 2, -8], (), 4, 2, 1)
+        assert (x.P, x.Q, x.d, x.a, x.b) == ((1,), (), 2, 1, 0)
+        assert x == E([1], (), 2, 1)
 
     def test_zero_canonical(self):
-        x = rf([0], [3, 7])
-        assert x.is_zero() and x.den == Polynomial([1])
+        x = E([0], [], 7, 3, 2)
+        assert (x.P, x.Q, x.d, x.a, x.b) == ((), (), 1, 0, 0)
+        assert x == E.from_rational(0)
 
     def test_inverse_round_trip(self):
-        x = rf([1, 2, 3], [5, 0, 1])
-        assert x * x.inverse() == rf([1])
+        x = E([0, 5], (), 3, 0, 2)  # 5t / (3 (1-4t)^2)
+        assert x * x.inverse() == ONE
+        assert x.inverse() == E([3, -24, 48], (), 5, 1)
 
     def test_quotient_rule(self):
         # d/dt (t / (1-4t)) = 1/(1-4t)^2
-        x = rf([0, 1], [1, -4])
-        assert x.derivative() == rf([1], [1, -8, 16])
+        x = E([0, 1], (), 1, 0, 1)
+        assert x.derivative() == E([1], (), 1, 0, 2)
 
 
 class TestAlgebraicElement:
     def test_defining_relation(self):
-        assert S * S == AlgebraicElement(RationalFunction(ONE_MINUS_4T))
+        assert S * S == U
 
     def test_catalan_times_one_plus_s(self):
-        assert AlgebraicElement.catalan() * (ONE + S) == TWO
+        assert E.catalan() * (ONE + S) == TWO
 
     def test_s_times_catalan(self):
-        c = AlgebraicElement.catalan()
+        c = E.catalan()
         assert S * c == TWO - c
 
     def test_inverse_of_one_plus_s(self):
-        half_c = AlgebraicElement.catalan() * Fraction(1, 2)
+        half_c = E.catalan() * Fraction(1, 2)
         assert (ONE + S).inverse() == half_c
 
     def test_inverse_of_s(self):
-        assert S.inverse() == AlgebraicElement(rf([]), rf([1], [1, -4]))
+        assert S.inverse() == E((), (1,), 1, 0, 1)
 
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError, match="inversion of zero"):
-            AlgebraicElement.from_rational(0).inverse()
+            E.from_rational(0).inverse()
 
-    @given(nonzero_elem)
+    def test_inverse_of_non_unit(self):
+        for x in (ONE + T, TWO + S, E([1, 1], [1])):
+            with pytest.raises(ValueError, match="not a unit"):
+                x.inverse()
+
+    @given(unit_elem)
     @settings(max_examples=40)
     def test_inverse_involution(self, x):
         assert x.inverse().inverse() == x
         assert x * x.inverse() == ONE
 
+    @given(small_elem, unit_elem)
+    @settings(max_examples=40)
+    def test_canonical_form(self, x, y):
+        z = x * y * y.inverse()
+        assert z == x and hash(z) == hash(x)
+        w = x + y - y
+        assert w == x and hash(w) == hash(x)
+
     def test_derivative_of_t_squared(self):
-        assert elem([0, 0, 1]).derivative() == elem([0, 2])
+        assert E([0, 0, 1]).derivative() == E([0, 2])
 
     def test_derivative_of_s(self):
-        expected = AlgebraicElement(rf([]), rf([-2], [1, -4]))
-        assert S.derivative() == expected
+        assert S.derivative() == E((), (-2,), 1, 0, 1)
 
     def test_derivative_of_catalan(self):
-        c = AlgebraicElement.catalan()
+        c = E.catalan()
         assert c.derivative() == S.inverse() * c * c
         # equivalent rational-function form (2C - C^2)/(1-4t)
-        inv = AlgebraicElement(rf([1], [1, -4]))
-        assert c.derivative() == inv * (TWO * c - c * c)
+        assert c.derivative() == U.inverse() * (TWO * c - c * c)
 
     def test_catalan_quadratic(self):
-        c = AlgebraicElement.catalan()
-        t = elem([0, 1])
-        assert (t * c * c - c + ONE).is_zero()
+        c = E.catalan()
+        assert (T * c * c - c + ONE).is_zero()
 
     def test_half_power_even(self):
-        assert AlgebraicElement.half_power(2) == AlgebraicElement(
-            RationalFunction(ONE_MINUS_4T)
-        )
+        assert E.half_power(2) == U
+        assert E.half_power(3) == U * S
 
     def test_half_power_negative(self):
-        assert AlgebraicElement.half_power(-1) == AlgebraicElement(
-            rf([]), rf([1], [1, -4])
-        )
-        e3 = AlgebraicElement.half_power(-1) ** 3
-        assert AlgebraicElement.half_power(-3) == e3
+        assert E.half_power(-1) == E((), (1,), 1, 0, 1)
+        e3 = E.half_power(-1) ** 3
+        assert E.half_power(-3) == e3
 
     def test_is_zero(self):
         assert (S - S).is_zero()
         assert not (ONE + S).is_zero()
 
     def test_eq35_inverse_ode_row(self):
-        c = AlgebraicElement.catalan()
+        c = E.catalan()
         lhs = 2 * c**3
-        one_minus = AlgebraicElement(RationalFunction(ONE_MINUS_4T))
-        rhs = -2 * c.derivative() + one_minus * c.derivative().derivative()
+        rhs = -2 * c.derivative() + U * c.derivative().derivative()
         assert (lhs - rhs).is_zero()
 
     def test_normal_form_uniqueness(self):
         via_inverse = TWO * (ONE + S).inverse()
-        direct = AlgebraicElement.catalan()
+        direct = E.catalan()
         assert via_inverse == direct
+
+    @given(small_elem, small_elem, small_elem)
+    @settings(max_examples=40)
+    def test_ring_axioms(self, x, y, z):
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x + E() == x and x * ONE == x
+        assert (x - x).is_zero()
 
     @given(small_elem, small_elem)
     @settings(max_examples=40)
@@ -170,26 +185,62 @@ class TestAlgebraicElement:
     def test_distributivity(self, x, y, z):
         assert (x * (y + z) - (x * y + x * z)).is_zero()
 
+    @given(nonzero_elem)
+    @settings(max_examples=40)
+    def test_valuation_bound(self, x):
+        k = x.valuation_bound()
+        try:
+            sx = x.to_series(max(k, 0))
+        except ValueError:
+            return  # only regular elements bridge
+        assert any(sx.coeffs[: k + 1])
+
+
+def _evaluate(x: AlgebraicElement, t: Fraction, s: Fraction) -> Fraction:
+    """x at a point t where sqrt(1-4t) = s is rational."""
+    def poly(p):
+        return sum((c * t**i for i, c in enumerate(p)), Fraction(0))
+
+    return (poly(x.P) + poly(x.Q) * s) / (x.d * t**x.a * (s * s) ** x.b)
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)])
+def test_catalan_derivatives_match_sympy(r):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    closed = 2 / (1 + sympy.sqrt(1 - 4 * t))
+    t0 = (1 - r * r) / 4
+    x = E.catalan()
+    for n in range(1, 7):
+        x = x.derivative()
+        expected = sympy.diff(closed, t, n).subs(t, sympy.Rational(t0.numerator, t0.denominator))
+        assert expected.is_Rational
+        assert _evaluate(x, t0, r) == Fraction(int(expected.p), int(expected.q))
+
 
 class TestToSeries:
     def test_catalan_expansion(self):
-        assert AlgebraicElement.catalan().to_series(3) == Series([1, 1, 2, 5])
+        assert E.catalan().to_series(3) == Series([1, 1, 2, 5])
 
     def test_s_expansion(self):
         assert S.to_series(2) == binomial_power_series(Fraction(1, 2), 2)
 
     def test_geometric_expansion(self):
-        x = AlgebraicElement(rf([1], [1, -4]))
-        assert x.to_series(2) == Series([1, 4, 16])
+        assert U.inverse().to_series(2) == Series([1, 4, 16])
+
+    def test_denominator_d(self):
+        # (1 + s)/3 = (2 - 2t - 2t^2 - ...)/3
+        assert E([1], [1], 3).to_series(2) == Series([Fraction(2, 3), Fraction(-2, 3),
+                                                      Fraction(-2, 3)])
 
     def test_pole_detected(self):
-        x = AlgebraicElement(rf([1], [0, 1]))  # 1/t
+        x = E([1], (), 1, 1)  # 1/t
         with pytest.raises(ValueError, match="not regular at origin"):
             x.to_series(4)
 
     def test_cancelling_poles_are_fine(self):
         # (1 - s)/(2t) has a pole in each part that cancels in the sum
-        assert AlgebraicElement.catalan().to_series(6) == catalan_series(6)
+        assert E.catalan().to_series(6) == catalan_series(6)
 
     @given(small_elem, small_elem)
     @settings(max_examples=25)

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +87,24 @@ def test_asymptotic_ratio_at_10():
 
 def test_asymptotic_ratio_monotone_toward_one():
     assert catalan_asymptotic_ratio(100) < catalan_asymptotic_ratio(1000) < 1
+
+
+def test_divisibility_check_survives_optimize_flag():
+    # Under python -O an assert would vanish and a wrong binomial would be
+    # silently floor-divided; the explicit check must still raise.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import math\n"
+        "import catalan_ode.catalan as cat\n"
+        "cat.comb = lambda n, k: math.comb(n, k) + 1\n"
+        "try:\n"
+        "    cat.catalan_closed(2)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "raised"

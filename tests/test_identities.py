@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from catalan_ode.catalan import catalan_closed
 from catalan_ode.identities import (
     EPS_CONST,
     LN2_36,
@@ -13,6 +14,8 @@ from catalan_ode.identities import (
     sum_eq62,
     verify_asymptotic,
     verify_convolution_recurrences,
+    verify_eq64,
+    verify_eq66,
     verify_inverse_delta,
     verify_sqrt_expansion,
     verify_thm1,
@@ -224,8 +227,9 @@ class TestConvolutionRecurrences:
         assert rep64.identity == "eq64" and rep66.identity == "eq66"
 
     def test_nmax_too_small(self):
-        with pytest.raises(ValueError):
-            verify_convolution_recurrences(1)
+        for verify in (verify_convolution_recurrences, verify_eq64, verify_eq66):
+            with pytest.raises(ValueError):
+                verify(1)
 
 
 class TestAsymptotic:
@@ -256,3 +260,13 @@ class TestFailureWitness:
         rep = verify_thm1(1, "symbolic", a_table=bad)
         assert not rep.passed
         assert rep.witness is not None
+
+    def test_symbolic_witness_names_a_late_index(self):
+        from catalan_ode.algebraic import AlgebraicElement
+        from catalan_ode.identities import _symbolic_witness
+
+        c = AlgebraicElement.catalan()
+        t30 = AlgebraicElement([0] * 30 + [1])
+        witness = _symbolic_witness(c, c + t30)
+        c30 = catalan_closed(30)
+        assert witness == {"index": "30", "lhs": str(c30), "rhs": str(c30 + 1)}
