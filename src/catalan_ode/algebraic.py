@@ -17,35 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .series import Series, binomial_power_series
-
-
-def _trim(p: list[int]) -> list[int]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _add(p, q) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _mul(p, q, n: int | None = None) -> list[int]:
-    """Product of two coefficient lists, truncated to n terms if n is given."""
-    size = len(p) + len(q) - 1 if p and q else 0
-    if n is not None:
-        size = min(size, n)
-    out = [0] * size
-    for i, x in enumerate(p[:size]):
-        if x:
-            for j, y in enumerate(q[: size - i]):
-                out[i + j] += x * y
-    return out
+from .series import Series, _add, _mul, _trim, binomial_power_series
 
 
 def _div_u(p) -> list[int] | None:
@@ -203,15 +175,13 @@ class AlgebraicElement:
         n = order + self.a + 1
         num = list(self.P[:n])
         if self.Q:
-            sqrt_cs = [int(c) for c in binomial_power_series(Fraction(1, 2), n - 1).coeffs]
-            num = _add(num, _mul(self.Q, sqrt_cs, n))
+            num = _add(num, _mul(self.Q, binomial_power_series(Fraction(1, 2), n - 1).num, n))
         if self.b:
-            inv_cs = [int(c) for c in binomial_power_series(-self.b, n - 1).coeffs]
-            num = _mul(num, inv_cs, n)
+            num = _mul(num, binomial_power_series(-self.b, n - 1).num, n)
         num += [0] * (n - len(num))
         if any(num[: self.a]):
             raise ValueError("element not regular at origin")
-        return Series(Fraction(c, self.d) for c in num[self.a:])
+        return Series(num[self.a:], self.d)
 
     def __repr__(self):
         return (f"AlgebraicElement(P={list(self.P)}, Q={list(self.Q)}, "

@@ -1,10 +1,11 @@
 """Catalan and higher-order Catalan numbers by independent routes."""
 from __future__ import annotations
 
-import threading
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import comb
+
+from .series import _mul
 
 # 40 significant digits; plenty for the asymptotic-ratio sanity check.
 PI_40 = Decimal("3.141592653589793238462643383279502884197")
@@ -46,7 +47,6 @@ def catalan_recurrence(nmax: int) -> list[int]:
 
 
 _power_cache: dict[int, list[int]] = {}
-_power_lock = threading.Lock()
 
 
 def higher_catalan(r: int, n: int) -> int:
@@ -56,18 +56,13 @@ def higher_catalan(r: int, n: int) -> int:
         raise ValueError("order r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _power_lock:
-        prefix = _power_cache.get(r)
-        if prefix is None or len(prefix) <= n:
-            base = catalan_recurrence(n)
-            prefix = list(base)
-            for _ in range(r - 1):
-                prefix = [
-                    sum(prefix[m] * base[k - m] for m in range(k + 1))
-                    for k in range(n + 1)
-                ]
-            _power_cache[r] = prefix
-        return prefix[n]
+    prefix = _power_cache.get(r)
+    if prefix is None or len(prefix) <= n:
+        prefix = base = catalan_recurrence(n)
+        for _ in range(r - 1):
+            prefix = _mul(prefix, base, n + 1)
+        _power_cache[r] = prefix
+    return prefix[n]
 
 
 def catalan_asymptotic_ratio(n: int, digits: int = 40) -> Decimal:

@@ -12,7 +12,6 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bfile import parse_bfile
@@ -20,8 +19,6 @@ from .catalan import catalan_closed, higher_catalan
 from .coefficients import a_table_recurrence, b_table_recurrence
 from .identities import IDENTITY_IDS
 from .runner import RunConfig, emit_report, run_suite
-
-ENV_THREADS = "CATALAN_ODE_THREADS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms-eq62", type=int, default=2000)
     p.add_argument("--conv-max", type=int, default=200)
     p.add_argument("--format", dest="fmt", choices=("human", "json"), default="human")
-    p.add_argument("--parallelism", type=int, default=None,
-                   help="worker count; 0 and 1 both mean one worker; "
-                        f"overrides ${ENV_THREADS}")
 
     p = sub.add_parser("crosscheck", help="check Catalan values against a b-file")
     p.add_argument("--bfile", required=True)
@@ -64,13 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    if args.parallelism is not None:
-        workers = args.parallelism
-    else:
-        try:
-            workers = int(os.environ.get(ENV_THREADS, "0"))
-        except ValueError:
-            workers = 0
     cfg = RunConfig(
         max_n_deriv=args.max_n,
         series_order=args.order,
@@ -79,7 +66,6 @@ def _cmd_verify(args) -> int:
         terms_eq62=args.terms_eq62,
         conv_max=args.conv_max,
         fmt=args.fmt,
-        parallelism=workers,
     )
     try:
         cfg.validate()

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: big rationals and factorial-type products.
 
-Everything downstream (series, ring elements, coefficient tables) is built
-on :class:`fractions.Fraction`, which already keeps values in canonical form
-(reduced, positive denominator, 0/1 for zero).
+Scalars are :class:`fractions.Fraction`, which already keeps values in
+canonical form (reduced, positive denominator, 0/1 for zero).  Series and
+ring elements do not use it internally: they hold integer coefficient lists
+over one integer denominator (see `series` and `algebraic`).
 """
 from __future__ import annotations
 

@@ -1,14 +1,13 @@
 """Verification-suite assembly and report emission.
 
-Jobs are pure functions, so they may fan out across a thread pool; the
-final report list is always sorted the same way, which keeps the JSON
-output byte-deterministic (elapsed times are reported in the human table
-only, never in JSON).
+Jobs are pure functions run one after another in one thread; the final
+report list is always sorted the same way, which keeps the JSON output
+byte-deterministic (elapsed times are reported in the human table only,
+never in JSON).
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import identities as ids
@@ -27,7 +26,6 @@ class RunConfig:
     terms_eq62: int = 2000
     conv_max: int = 200       # n bound for the convolution recurrences
     fmt: str = "human"
-    parallelism: int = 0      # 0 and 1 both mean one worker
 
     def validate(self) -> None:
         if self.max_n_deriv < 1 or self.max_index < 1 or self.conv_max < 2:
@@ -38,8 +36,6 @@ class RunConfig:
             raise ValueError("series order K must be at least max N + 8")
         if self.fmt not in ("human", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
 
 
 def _jobs_for(identity: str, cfg: RunConfig):
@@ -98,14 +94,7 @@ def run_suite(identity: str, cfg: RunConfig) -> list[VerificationReport]:
             jobs.extend(_jobs_for(ident, cfg))
     else:
         jobs = _jobs_for(identity, cfg)
-
-    workers = cfg.parallelism if cfg.parallelism else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda job: job(), jobs))
-    else:
-        reports = [job() for job in jobs]
-    return sorted(reports, key=_sort_key)
+    return sorted((job() for job in jobs), key=_sort_key)
 
 
 def report_to_dict(r: VerificationReport) -> dict:

@@ -1,70 +1,112 @@
-"""Truncated formal power series over exact rationals.
+"""Integer coefficient lists and truncated power series built on them.
 
-A :class:`Series` stores coefficients 0..K together with the truncation
-order K.  Arithmetic between two series is only meaningful up to the common
-order, so every binary operation truncates to min(K1, K2) and records that
-on the result; differentiation shrinks the order by one.
+`_trim`, `_add` and `_mul` are the one polynomial kernel of the package:
+lists of Python ints, lowest degree first.  The ring in `algebraic` uses
+them for its numerators, and :class:`Series` for its coefficients.
+
+A :class:`Series` stores integer numerators c_0..c_K over one positive
+denominator d, in lowest terms (gcd(d, c_0, ..., c_K) = 1), so equality is
+structural.  Arithmetic between two series is only meaningful up to the
+common order, so every binary operation truncates to min(K1, K2) and
+records that on the result; differentiation shrinks the order by one.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-from .exact import RationalLike, binomial_general
+from .exact import RationalLike
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _add(p, q) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def _mul(p, q, n: int | None = None) -> list[int]:
+    """Product of two coefficient lists, truncated to n terms if n is given."""
+    size = len(p) + len(q) - 1 if p and q else 0
+    if n is not None:
+        size = min(size, n)
+    out = [0] * size
+    for i, x in enumerate(p[:size]):
+        if x:
+            for j, y in enumerate(q[: size - i]):
+                out[i + j] += x * y
+    return out
 
 
 class Series:
-    __slots__ = ("coeffs",)
+    """Coefficients num[0..K] / den of a power series truncated at order K.
+    The constructor accepts any rationals and brings them to that form."""
 
-    def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
-        if not cs:
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs, den: int = 1):
+        num = list(coeffs)
+        if not num:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = cs
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        if not all(type(c) is int for c in num):
+            fs = [Fraction(c) for c in num]
+            scale = lcm(*(f.denominator for f in fs))
+            num = [f.numerator * (scale // f.denominator) for f in fs]
+            den *= scale
+        if den > 1 and (g := gcd(den, *num)) > 1:
+            num, den = [c // g for c in num], den // g
+        self.num, self.den = tuple(num), den
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.num[n], self.den)
 
     @staticmethod
     def constant(value: RationalLike, order: int) -> "Series":
-        return Series((Fraction(value),) + (Fraction(0),) * order)
+        return Series([value] + [0] * order)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return isinstance(other, Series) and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other: "Series") -> "Series":
         k = min(self.order, other.order)
-        return Series(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return Series([f * x + g * y for x, y in zip(self.num[: k + 1], other.num[: k + 1])], den)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series(-c for c in self.coeffs)
+        return Series([-c for c in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            return Series(c * other for c in self.coeffs)
+            return Series([c * other.numerator for c in self.num], self.den * other.denominator)
         k = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (k + 1)
-        for i, ai in enumerate(a[: k + 1]):
-            if not ai:
-                continue
-            for j in range(k + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return Series(out)
+        return Series(_mul(self.num, other.num, k + 1), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -79,7 +121,7 @@ class Series:
     def derivative(self) -> "Series":
         if self.order == 0:
             raise ValueError("cannot differentiate order-0 series")
-        return Series((n + 1) * c for n, c in enumerate(self.coeffs[1:]))
+        return Series([n * c for n, c in enumerate(self.num) if n], self.den)
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r})"
@@ -89,21 +131,32 @@ def first_mismatch(a: Series, b: Series):
     """First index where two series disagree on their common range, or None."""
     k = min(a.order, b.order)
     for n in range(k + 1):
-        if a.coeffs[n] != b.coeffs[n]:
-            return n, a.coeffs[n], b.coeffs[n]
+        if a.num[n] * b.den != b.num[n] * a.den:
+            return n, a.coeff(n), b.coeff(n)
     return None
 
 
 def catalan_series(order: int) -> Series:
     """Sum of C_n t^n to the given truncation order, each C_n from the
     closed binomial form."""
-    return Series(Fraction(comb(2 * n, n), n + 1) for n in range(order + 1))
+    return Series([comb(2 * n, n) // (n + 1) for n in range(order + 1)])
 
 
 def binomial_power_series(alpha: RationalLike, order: int) -> Series:
     """(1-4t)^alpha as a truncated series: coefficient of t^m is
-    (alpha choose m) * (-4)^m."""
-    return Series(binomial_general(alpha, m) * (-4) ** m for m in range(order + 1))
+    c_m = (alpha choose m) * (-4)^m, from c_0 = 1 and the ratio
+    c_{m+1} / c_m = 4 (m - alpha) / (m + 1).  Each c_m is kept as a reduced
+    pair of integers; for integer and half-integer alpha every c_m is an
+    integer and the series has denominator 1."""
+    p, q = alpha.numerator, alpha.denominator
+    terms, n, e = [], 1, 1
+    for m in range(order + 1):
+        terms.append((n, e))
+        n, e = n * 4 * (m * q - p), e * q * (m + 1)
+        g = gcd(n, e)
+        n, e = n // g, e // g
+    den = lcm(*(e for _, e in terms))
+    return Series([n * (den // e) for n, e in terms], den)
 
 
 def sqrt_one_plus_series(order: int) -> Series:
@@ -114,4 +167,3 @@ def sqrt_one_plus_series(order: int) -> Series:
         return Fraction(comb(2 * n, n) * sign, 4**n * (2 * n - 1))
 
     return Series(term(n) for n in range(order + 1))
-

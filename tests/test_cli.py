@@ -93,18 +93,10 @@ class TestVerifyCommand:
             {"id": "eq58", "mode": "series", "parameters": {"K": 64}, "passed": True}
         ]
 
-    def test_parallel_matches_serial(self, capsys):
-        assert main(["verify", "--id", "eq57", "--format", "json",
-                     "--parallelism", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert main(["verify", "--id", "eq57", "--format", "json"]) == 0
-        assert parallel == capsys.readouterr().out
-
-    def test_env_threads_flag_precedence(self, capsys, monkeypatch):
-        monkeypatch.setenv("CATALAN_ODE_THREADS", "not-a-number")
-        assert main(["verify", "--id", "asymptotic", "--format", "json"]) == 0
-        monkeypatch.setenv("CATALAN_ODE_THREADS", "2")
-        assert main(["verify", "--id", "asymptotic", "--format", "json"]) == 0
+    def test_parallelism_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--id", "eq57", "--parallelism", "2"])
+        assert exc.value.code == 2
 
 
 class TestCrosscheckCommand:

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from catalan_ode.catalan import catalan_closed
+from catalan_ode.coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
 from catalan_ode.identities import (
     EPS_CONST,
     LN2_36,
@@ -243,23 +245,35 @@ class TestAsymptotic:
         assert rep.witness is not None and "index" in rep.witness
 
 
+def _table_entries():
+    for n in range(1, 9):
+        for i in range(1, n + 1):
+            yield "thm1", n, i
+        for i in range(n // 2 + 1):
+            yield "thm3", n, i
+
+
 class TestFailureWitness:
-    def test_series_witness_on_forced_mismatch(self):
-        from catalan_ode.coefficients import CoeffTable
-
-        bad = CoeffTable("a", ((2,),))  # a_1(1) should be 1
-        rep = verify_thm1(1, "series", 16, a_table=bad)
-        assert not rep.passed
-        assert rep.witness["index"] == "0"
-        assert rep.witness["lhs"] != rep.witness["rhs"]
-
-    def test_symbolic_witness_on_forced_mismatch(self):
-        from catalan_ode.coefficients import CoeffTable
-
-        bad = CoeffTable("a", ((2,),))
-        rep = verify_thm1(1, "symbolic", a_table=bad)
-        assert not rep.passed
-        assert rep.witness is not None
+    @pytest.mark.parametrize("identity,n,i", list(_table_entries()))
+    def test_forced_mismatch(self, identity, n, i):
+        """Every entry of rows 1..8 of the a-table (thm1) and the b-table
+        (thm3), shifted by +1, fails in both modes at coefficient 0."""
+        if identity == "thm1":
+            table, verify = a_table_recurrence(8), verify_thm1
+            lhs = factorial(n) * catalan_closed(n)
+            gap = 1
+        else:
+            table, verify = b_table_recurrence(8), verify_thm3
+            lhs = factorial(n)
+            gap = factorial(n - i) * catalan_closed(n - i)
+        rows = [list(r) for r in table.rows]
+        rows[n - 1][i - (table.family == "a")] += 1
+        bad = CoeffTable(table.family, tuple(map(tuple, rows)))
+        expected = {"index": "0", "lhs": str(lhs), "rhs": str(lhs + gap)}
+        for mode in ("series", "symbolic"):
+            rep = verify(n, mode, n + 8, bad)
+            assert not rep.passed
+            assert rep.witness == expected
 
     def test_symbolic_witness_names_a_late_index(self):
         from catalan_ode.algebraic import AlgebraicElement

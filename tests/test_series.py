@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from catalan_ode.catalan import catalan_closed
+from catalan_ode.exact import binomial_general
 from catalan_ode.series import (
     Series,
     binomial_power_series,
@@ -107,10 +109,13 @@ def test_binomial_power_half():
     assert s * s == Series([1, -4, 0, 0, 0])
 
 
-@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 2)])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 2),
+                                   Fraction(1, 3), Fraction(-7, 5), -3])
 def test_binomial_power_inverse_pairs(alpha):
     k = 24
-    prod = binomial_power_series(alpha, k) * binomial_power_series(-alpha, k)
+    power = binomial_power_series(alpha, k)
+    assert power.coeffs == tuple(binomial_general(alpha, m) * (-4) ** m for m in range(k + 1))
+    prod = power * binomial_power_series(-alpha, k)
     assert prod == Series.constant(1, k)
 
 
@@ -136,8 +141,6 @@ def test_sqrt_one_plus_terms():
 
 def test_sqrt_one_plus_matches_binomial_series():
     k = 64
-    from catalan_ode.exact import binomial_general
-
     s = sqrt_one_plus_series(k)
     for n in range(k + 1):
         assert s.coeff(n) == binomial_general(Fraction(1, 2), n)
@@ -164,3 +167,37 @@ def test_ring_axioms(a, b, c):
 @given(series16, series16)
 def test_leibniz(a, b):
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def naive_mul(a, b):
+    """Reference product: the truncated Cauchy convolution over Fractions."""
+    k = min(len(a), len(b)) - 1
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(k + 1)]
+
+
+fraction_lists = st.lists(small_rationals, min_size=1, max_size=12)
+
+
+@given(fraction_lists, fraction_lists)
+def test_kernel_matches_fraction_arithmetic(a, b):
+    sa, sb = Series(a), Series(b)
+    k = min(len(a), len(b))
+    assert list((sa * sb).coeffs) == naive_mul(a, b)
+    assert list((sa + sb).coeffs) == [x + y for x, y in zip(a[:k], b[:k])]
+    if len(a) > 1:
+        assert list(sa.derivative().coeffs) == [n * c for n, c in enumerate(a) if n]
+
+
+@given(fraction_lists)
+def test_canonical_form(a):
+    s = Series(a)
+    den = lcm(*(c.denominator for c in a))
+    numerators = Series([int(c * den) for c in a])
+    zero = Series.constant(0, len(a) - 1)
+    for t in (Series(numerators.num, den), numerators * Fraction(1, den) + zero):
+        assert s == t and hash(s) == hash(t)
+    assert s.den == den
+    for n, c in enumerate(a):
+        got = s.coeff(n)
+        assert type(got) is Fraction and got == c
+        assert gcd(got.numerator, got.denominator) == 1
