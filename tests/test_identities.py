@@ -275,6 +275,18 @@ class TestFailureWitness:
             assert not rep.passed
             assert rep.witness == expected
 
+    def test_series_witness_on_forced_mismatch(self):
+        bad = CoeffTable("a", ((2,),))  # a_1(1) should be 1
+        rep = verify_thm1(1, "series", 16, a_table=bad)
+        assert not rep.passed
+        assert rep.witness == {"index": "0", "lhs": "1", "rhs": "2"}
+
+    def test_symbolic_witness_on_forced_mismatch(self):
+        bad = CoeffTable("a", ((2,),))
+        rep = verify_thm1(1, "symbolic", a_table=bad)
+        assert not rep.passed
+        assert rep.witness == {"index": "0", "lhs": "1", "rhs": "2"}
+
     def test_symbolic_witness_names_a_late_index(self):
         from catalan_ode.algebraic import AlgebraicElement
         from catalan_ode.identities import _symbolic_witness
