@@ -16,14 +16,7 @@ from .coefficients import (
     b_table_recurrence,
     s_number,
 )
-from .exact import (
-    Rational,
-    binomial_general,
-    double_factorial_odd,
-    falling_factorial,
-    rat_make,
-    shifted_factorial,
-)
+from .exact import binomial_general, double_factorial_odd
 from .identities import (
     VerificationReport,
     eq62_tail_enclosure,
@@ -50,7 +43,6 @@ from .series import (
 __all__ = [
     "AlgebraicElement",
     "CoeffTable",
-    "Rational",
     "RunConfig",
     "Series",
     "VerificationReport",
@@ -68,13 +60,10 @@ __all__ = [
     "double_factorial_odd",
     "emit_report",
     "eq62_tail_enclosure",
-    "falling_factorial",
     "first_mismatch",
     "higher_catalan",
-    "rat_make",
     "run_suite",
     "s_number",
-    "shifted_factorial",
     "sqrt_one_plus_series",
     "sum_eq59",
     "sum_eq62",

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
-from .exact import double_factorial_odd, shifted_factorial
+from .exact import double_factorial_odd
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,9 @@ def _sum_terms(i: int, n: int, budget: int, k_rest_sum: int, level: int) -> int:
     total = 0
     for k in range(budget + 1):
         x = 2 * n - 2 * k_rest_sum - 2 * i - 1 + level
-        factor = shifted_factorial(x, 2, k)
-        inner = _sum_terms(i, n, budget - k, k_rest_sum + k, level - 1)
-        term = factor * inner
-        if term.denominator != 1:
-            raise ArithmeticError(f"a-family closed-form term {term} is not an integer")
-        total += term.numerator
+        # the alpha = 2 shifted factorial x(x-2)...(x-2(k-1))
+        factor = prod(range(x, x - 2 * k, -2))
+        total += factor * _sum_terms(i, n, budget - k, k_rest_sum + k, level - 1)
     return total
 
 

@@ -1,45 +1,19 @@
-"""Exact scalar arithmetic: big rationals and factorial-type products.
+"""Exact scalar helpers: the odd double factorial and the generalized
+binomial coefficient.
 
 Scalars are :class:`fractions.Fraction`, which already keeps values in
-canonical form (reduced, positive denominator, 0/1 for zero).  Series and
-ring elements do not use it internally: they hold integer coefficient lists
-over one integer denominator (see `series` and `algebraic`).
+canonical form (reduced, positive denominator, 0/1 for zero).  Series, ring
+elements and the numeric identities do not use it internally: they work on
+integers over one integer denominator (see `series`, `algebraic` and
+`identities`).  `binomial_general` is the plain rational reference that
+tests and the eq58 check compare those integer paths against.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
 
-Rational = Fraction
-
 RationalLike = Fraction | int
-
-
-def rat_make(num: int, den: int) -> Fraction:
-    """Canonical rational num/den; raises on a zero denominator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
-def falling_factorial(x: RationalLike, n: int) -> Fraction:
-    """(x)_n = x(x-1)...(x-n+1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = Fraction(1)
-    for k in range(n):
-        out *= Fraction(x) - k
-    return out
-
-
-def shifted_factorial(x: RationalLike, alpha: RationalLike, n: int) -> Fraction:
-    """(x; alpha)_n = x(x-alpha)...(x-(n-1)alpha), with (x; alpha)_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = Fraction(1)
-    for k in range(n):
-        out *= Fraction(x) - k * Fraction(alpha)
-    return out
 
 
 def double_factorial_odd(k: int) -> int:
@@ -59,7 +33,11 @@ def double_factorial_odd(k: int) -> int:
 
 
 def binomial_general(alpha: RationalLike, m: int) -> Fraction:
-    """Generalized binomial coefficient (alpha choose m) = (alpha)_m / m!."""
+    """Generalized binomial coefficient (alpha choose m) =
+    alpha(alpha-1)...(alpha-m+1) / m!."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return falling_factorial(alpha, m) / factorial(m)
+    out = Fraction(1)
+    for k in range(m):
+        out *= Fraction(alpha) - k
+    return out / factorial(m)

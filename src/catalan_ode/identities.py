@@ -4,16 +4,21 @@ Kronecker-delta inverse relation between the two coefficient families,
 the square-root expansion, two convergent numeric sums, and the
 convolution recurrences.
 
-Every check is exact rational arithmetic end to end; the only inexactness
-anywhere is the final comparison of the two numeric sums against hardcoded
->= 30-digit decimal enclosures of sqrt(2) and ln 2.
+Every check is exact arithmetic end to end.  The number identities thm2
+and thm4 are integer equations between the t^n coefficients of both sides
+of thm1 and thm3, with the (1-4t)^alpha factors taken from
+`binomial_power_series`; the eq59/eq62 sums and the eq64/eq66
+convolutions are integer sums over one common denominator; each builds a
+`Fraction` only once per check, for the comparison or the witness.  The only
+inexactness anywhere is the final comparison of the two numeric sums
+against hardcoded >= 30-digit decimal enclosures of sqrt(2) and ln 2.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm, perm
 
 from .algebraic import AlgebraicElement
 from .catalan import (
@@ -21,15 +26,12 @@ from .catalan import (
     catalan_closed,
     higher_catalan,
 )
-from .coefficients import (
-    CoeffTable,
-    a_closed_form,
-    a_table_recurrence,
-    b_table_recurrence,
-)
-from .exact import binomial_general, falling_factorial
+from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
+from .exact import binomial_general
 from .series import (
     Series,
+    _central_binomials,
+    _mul,
     binomial_power_series,
     catalan_series,
     first_mismatch,
@@ -139,32 +141,23 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                    None if passed else _symbolic_witness(lhs, rhs), start)
 
 
-def verify_thm2(n: int, n_deriv: int, a_source: str = "recurrence") -> VerificationReport:
-    """C_{n+N} recovered from the forward expansion: a double sum over the
-    a-family, half-integer binomials, and higher-order Catalan numbers."""
+def verify_thm2(n: int, n_deriv: int,
+                a_table: CoeffTable | None = None) -> VerificationReport:
+    """C_{n+N} recovered from the forward expansion: the t^n coefficient of
+    thm1, (n+N)!/n! C_{n+N} = sum_i a_i(N) sum_m c_m C^(i+1)_{n-m}, with
+    c_m = 4^m binom((2N-i)/2 + m - 1, m) = [t^m] (1-4t)^(-(2N-i)/2)."""
     start = time.perf_counter()
     N = n_deriv
     if n < 0 or N < 1:
         raise ValueError("need n >= 0 and N >= 1")
-    if a_source == "recurrence":
-        table = a_table_recurrence(N)
-        a_of = lambda i: table.entry(i, N)
-    elif a_source == "closed":
-        a_of = lambda i: a_closed_form(i, N)
-    else:
-        raise ValueError(f"unknown a_source {a_source!r}")
-
-    total = Fraction(0)
+    table = a_table if a_table is not None else a_table_recurrence(N)
+    total = 0
     for i in range(1, N + 1):
-        ai = a_of(i)
-        for m in range(n + 1):
-            total += (
-                4**m
-                * binomial_general(Fraction(2 * N - i, 2) + m - 1, m)
-                * ai
-                * higher_catalan(i + 1, n - m)
-            )
-    value = total / falling_factorial(n + N, N)
+        power = binomial_power_series(Fraction(-(2 * N - i), 2), n).num
+        total += table.entry(i, N) * sum(
+            c * higher_catalan(i + 1, n - m) for m, c in enumerate(power)
+        )
+    value = Fraction(total, perm(n + N, N))
     target = catalan_closed(n + N)
     passed = value == target
     witness = None if passed else {"index": str(n), "lhs": str(value), "rhs": str(target)}
@@ -214,26 +207,24 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
                    None if passed else _symbolic_witness(lhs, rhs), start)
 
 
-def verify_thm4(k: int, n_pow: int) -> VerificationReport:
-    """C_k^(N+1) recovered from the inverse expansion: a double sum over the
-    b-family, half-integer binomials and falling factorials."""
+def verify_thm4(k: int, n_pow: int,
+                b_table: CoeffTable | None = None) -> VerificationReport:
+    """C_k^(N+1) recovered from the inverse expansion: the t^k coefficient
+    of thm3, N! C^(N+1)_k = sum_i b_i(N) sum_m c_{k-m} (m+N-i)!/m! C_{m+N-i},
+    with c_j = binom(N/2 - i, j) (-4)^j = [t^j] (1-4t)^(N/2-i)."""
     start = time.perf_counter()
     N = n_pow
     if k < 0 or N < 1:
         raise ValueError("need k >= 0 and N >= 1")
-    table = b_table_recurrence(N)
-    total = Fraction(0)
+    table = b_table if b_table is not None else b_table_recurrence(N)
+    total = 0
     for i in range(0, N // 2 + 1):
-        bi = table.entry(i, N)
-        for m in range(k + 1):
-            total += (
-                binomial_general(Fraction(N, 2) - i, k - m)
-                * falling_factorial(m + N - i, N - i)
-                * (-4) ** (k - m)
-                * bi
-                * catalan_closed(m + N - i)
-            )
-    value = total / factorial(N)
+        power = binomial_power_series(Fraction(N - 2 * i, 2), k).num
+        total += table.entry(i, N) * sum(
+            power[k - m] * perm(m + N - i, N - i) * catalan_closed(m + N - i)
+            for m in range(k + 1)
+        )
+    value = Fraction(total, factorial(N))
     target = higher_catalan(N + 1, k)
     passed = value == target
     witness = None if passed else {"index": str(k), "lhs": str(value), "rhs": str(target)}
@@ -280,13 +271,15 @@ def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
     the first omitted term, pass flag)."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
-
-    def term(n: int) -> Fraction:
-        sign = 1 if n % 2 else -1
-        return Fraction(catalan_closed(n) * sign, 4**n * (2 * n - 1))
-
-    partial = sum((term(n) for n in range(terms)), Fraction(0))
-    bound = abs(term(terms))
+    # over 4^(terms-1) lcm(1, 3, .., 2 terms - 3); C_n 4^(terms-1-n) is the
+    # scaled central binomial divided by n+1
+    odd_lcm = lcm(*range(1, 2 * terms - 2, 2))
+    total = 0
+    for n, r in _central_binomials(terms - 1):
+        c = r // (n + 1)
+        total += (c if n % 2 else -c) * (odd_lcm // (2 * n - 1))
+    partial = Fraction(total, 4 ** (terms - 1) * odd_lcm)
+    bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
     target = (4 * SQRT2_40 - 2) / 3
     passed = abs(partial - target) < bound + EPS_CONST
     return partial, bound, passed
@@ -334,10 +327,10 @@ def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     ln 2 constant; hi is a rigorous upper bound on the truncation error."""
     if terms < 1:
         raise ValueError("need at least 1 term")
-    partial = sum(
-        (Fraction(comb(2 * n, n), (n + 1) ** 2 * 4 ** (n + 1)) for n in range(terms)),
-        Fraction(0),
-    )
+    # over 4^terms lcm(1..terms)^2, with the scaled central binomials
+    lcm_sq = lcm(*range(1, terms + 1)) ** 2
+    total = sum(r * (lcm_sq // (n + 1) ** 2) for n, r in _central_binomials(terms - 1))
+    partial = Fraction(total, 4**terms * lcm_sq)
     lo, hi = eq62_tail_enclosure(terms)
     passed = lo - EPS_CONST <= (1 - LN2_36) - partial <= hi + EPS_CONST
     return partial, hi, passed
@@ -367,20 +360,26 @@ def _conv_inputs(nmax: int) -> list[int]:
     return [catalan_closed(n) for n in range(nmax + 1)]
 
 
+def _conv_weights(cs: list[int]) -> tuple[int, list[int]]:
+    """(L, u) with L = lcm(1, 3, .., 2 nmax - 1) and u_m = C_m (m+1) L/(2m-1),
+    so that sum_m C_m C_{n-m} (m+1)/(2m-1) over any range of m is the
+    integer sum of u_m C_{n-m} over L."""
+    den = lcm(*range(1, 2 * len(cs) - 2, 2))
+    return den, [c * (m + 1) * (den // (2 * m - 1)) for m, c in enumerate(cs)]
+
+
 def verify_eq64(nmax: int) -> VerificationReport:
     """C_n - sum_{m=0}^{n} C_m C_{n-m} (m+1)/(2m-1) equals 2 at n=0 and 0 for
     n >= 1 (the m=0 factor is exactly 1/(-1), no special casing)."""
     start = time.perf_counter()
     cs = _conv_inputs(nmax)
+    den, u = _conv_weights(cs)
+    conv = _mul(u, cs, nmax + 1)
     witness = None
     for n in range(nmax + 1):
-        conv = sum(
-            (Fraction(cs[m] * cs[n - m] * (m + 1), 2 * m - 1) for m in range(n + 1)),
-            Fraction(0),
-        )
-        value = cs[n] - conv
         expected = 2 if n == 0 else 0
-        if value != expected:
+        if cs[n] * den - conv[n] != expected * den:
+            value = Fraction(cs[n] * den - conv[n], den)
             witness = {"index": str(n), "lhs": str(value), "rhs": str(expected)}
             break
     return _report("eq64", {"nmax": nmax}, "numeric", witness is None, witness, start)
@@ -390,14 +389,13 @@ def verify_eq66(nmax: int) -> VerificationReport:
     """C_n = (2n-1)/(3(n-1)) * sum_{m=1}^{n-1} C_m C_{n-m} (m+1)/(2m-1) for n >= 2."""
     start = time.perf_counter()
     cs = _conv_inputs(nmax)
+    den, u = _conv_weights(cs)
+    # zeroing index 0 of both factors leaves m = 1..n-1
+    inner = _mul([0] + u[1:], [0] + cs[1:], nmax + 1)
     witness = None
     for n in range(2, nmax + 1):
-        inner = sum(
-            (Fraction(cs[m] * cs[n - m] * (m + 1), 2 * m - 1) for m in range(1, n)),
-            Fraction(0),
-        )
-        value = Fraction(2 * n - 1, 3 * (n - 1)) * inner
-        if value != cs[n]:
+        if (2 * n - 1) * inner[n] != 3 * (n - 1) * den * cs[n]:
+            value = Fraction((2 * n - 1) * inner[n], 3 * (n - 1) * den)
             witness = {"index": str(n), "lhs": str(value), "rhs": str(cs[n])}
             break
     return _report("eq66", {"nmax": nmax}, "numeric", witness is None, witness, start)

@@ -16,6 +16,18 @@ from .identities import IDENTITY_IDS, VerificationReport
 
 JSON_SCHEMA_VERSION = "1"
 
+# (flag, RunConfig field, largest accepted value).  At these bounds the
+# slowest single checks (series thm1 at N = 40, K = 512; eq64 at 1000; the
+# eq59/eq62 sums at 10000 terms) take seconds rather than hours.
+UPPER_BOUNDS = (
+    ("--max-N", "max_n_deriv", 40),
+    ("--order", "series_order", 512),
+    ("--max-n", "max_index", 200),
+    ("--terms-eq59", "terms_eq59", 10000),
+    ("--terms-eq62", "terms_eq62", 10000),
+    ("--conv-max", "conv_max", 1000),
+)
+
 
 @dataclass
 class RunConfig:
@@ -34,6 +46,9 @@ class RunConfig:
             raise ValueError("sum term counts too small")
         if self.series_order < self.max_n_deriv + 8:
             raise ValueError("series order K must be at least max N + 8")
+        for flag, name, cap in UPPER_BOUNDS:
+            if getattr(self, name) > cap:
+                raise ValueError(f"{flag} must be at most {cap}")
         if self.fmt not in ("human", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
 

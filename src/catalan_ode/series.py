@@ -159,11 +159,21 @@ def binomial_power_series(alpha: RationalLike, order: int) -> Series:
     return Series([n * (den // e) for n, e in terms], den)
 
 
+def _central_binomials(k: int):
+    """(n, binom(2n,n) 4^(k-n)) for n = 0..k, one at a time, from the exact
+    integer ratio (2n+1)/(2n+2) between consecutive values."""
+    r = 4**k
+    for n in range(k + 1):
+        yield n, r
+        r = r * (2 * n + 1) // (2 * n + 2)
+
+
 def sqrt_one_plus_series(order: int) -> Series:
     """sqrt(1+y) as a series in y: coefficient of y^n is
-    binom(2n,n) * (-1)^(n-1) / (4^n (2n-1)); the n=0 term is 1."""
-    def term(n: int) -> Fraction:
-        sign = 1 if n % 2 else -1
-        return Fraction(comb(2 * n, n) * sign, 4**n * (2 * n - 1))
-
-    return Series(term(n) for n in range(order + 1))
+    binom(2n,n) * (-1)^(n-1) / (4^n (2n-1)); the n=0 term is 1.  The
+    numerators are built over the one denominator 4^K lcm(1, 3, .., 2K-1)."""
+    odd_lcm = lcm(*range(1, 2 * order, 2))
+    return Series(
+        [(r if n % 2 else -r) * (odd_lcm // (2 * n - 1)) for n, r in _central_binomials(order)],
+        4**order * odd_lcm,
+    )

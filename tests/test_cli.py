@@ -93,6 +93,19 @@ class TestVerifyCommand:
             {"id": "eq58", "mode": "series", "parameters": {"K": 64}, "passed": True}
         ]
 
+    @pytest.mark.parametrize("flag,name,cap", [
+        ("--max-N", "max_n_deriv", 40),
+        ("--order", "series_order", 512),
+        ("--max-n", "max_index", 200),
+        ("--terms-eq59", "terms_eq59", 10000),
+        ("--terms-eq62", "terms_eq62", 10000),
+        ("--conv-max", "conv_max", 1000),
+    ])
+    def test_upper_bound(self, flag, name, cap, capsys):
+        RunConfig(**{name: cap}).validate()
+        assert main(["verify", "--id", "eq57", flag, str(cap + 1)]) == 2
+        assert f"{flag} must be at most {cap}" in capsys.readouterr().err
+
     def test_parallelism_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--id", "eq57", "--parallelism", "2"])

@@ -5,63 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catalan_ode.exact import (
-    binomial_general,
-    double_factorial_odd,
-    falling_factorial,
-    rat_make,
-    shifted_factorial,
-)
-
-
-class TestRatMake:
-    def test_reduces(self):
-        assert rat_make(2, 4) == Fraction(1, 2)
-
-    def test_sign_normalization(self):
-        r = rat_make(-3, -6)
-        assert r == Fraction(1, 2)
-        assert r.denominator == 3 or r.denominator > 0
-
-    def test_zero_canonical(self):
-        r = rat_make(0, 7)
-        assert r.numerator == 0 and r.denominator == 1
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError, match="division by zero"):
-            rat_make(1, 0)
-
-
-class TestFallingFactorial:
-    def test_integer(self):
-        assert falling_factorial(5, 3) == 60
-
-    def test_empty_product(self):
-        assert falling_factorial(Fraction(7, 3), 0) == 1
-
-    def test_half(self):
-        assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
-
-    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=25))
-    def test_matches_factorial_quotient(self, n, extra):
-        x = n + extra
-        assert falling_factorial(x, n) == factorial(x) // factorial(x - n)
-
-
-class TestShiftedFactorial:
-    def test_step_two(self):
-        assert shifted_factorial(6, 2, 3) == 48
-
-    def test_empty(self):
-        assert shifted_factorial(6, 2, 0) == 1
-
-    def test_inside_a_family_expansion(self):
-        # (2N-2; 2)_2 at N=3
-        assert shifted_factorial(4, 2, 2) == 8
-
-    @given(st.integers(-30, 30), st.integers(0, 8))
-    def test_alpha_one_is_falling(self, x, n):
-        assert shifted_factorial(x, 1, n) == falling_factorial(x, n)
+from catalan_ode.exact import binomial_general, double_factorial_odd
 
 
 class TestDoubleFactorial:

@@ -3,8 +3,15 @@ from math import factorial
 
 import pytest
 
-from catalan_ode.catalan import catalan_closed
-from catalan_ode.coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
+from catalan_ode import identities
+from catalan_ode.catalan import catalan_closed, higher_catalan
+from catalan_ode.coefficients import (
+    CoeffTable,
+    a_closed_form,
+    a_table_recurrence,
+    b_table_recurrence,
+)
+from catalan_ode.exact import binomial_general
 from catalan_ode.identities import (
     EPS_CONST,
     LN2_36,
@@ -61,9 +68,12 @@ class TestForwardNumbers:
 
     @pytest.mark.parametrize("source", ["recurrence", "closed"])
     def test_envelope(self, source):
+        table = None if source == "recurrence" else CoeffTable("a", tuple(
+            tuple(a_closed_form(i, n) for i in range(1, n + 1)) for n in range(1, 7)
+        ))
         for big_n in range(1, 7):
             for n in range(21):
-                assert verify_thm2(n, big_n, a_source=source).passed
+                assert verify_thm2(n, big_n, a_table=table).passed
 
 
 class TestInverseOde:
@@ -245,16 +255,23 @@ class TestAsymptotic:
         assert rep.witness is not None and "index" in rep.witness
 
 
-def _table_entries():
-    for n in range(1, 9):
+def _table_entries(forward, inverse, max_n):
+    for n in range(1, max_n + 1):
         for i in range(1, n + 1):
-            yield "thm1", n, i
+            yield forward, n, i
         for i in range(n // 2 + 1):
-            yield "thm3", n, i
+            yield inverse, n, i
+
+
+def _shifted(table, n, i):
+    """`table` with entry i of row n shifted by +1."""
+    rows = [list(r) for r in table.rows]
+    rows[n - 1][i - (table.family == "a")] += 1
+    return CoeffTable(table.family, tuple(map(tuple, rows)))
 
 
 class TestFailureWitness:
-    @pytest.mark.parametrize("identity,n,i", list(_table_entries()))
+    @pytest.mark.parametrize("identity,n,i", list(_table_entries("thm1", "thm3", 8)))
     def test_forced_mismatch(self, identity, n, i):
         """Every entry of rows 1..8 of the a-table (thm1) and the b-table
         (thm3), shifted by +1, fails in both modes at coefficient 0."""
@@ -266,14 +283,62 @@ class TestFailureWitness:
             table, verify = b_table_recurrence(8), verify_thm3
             lhs = factorial(n)
             gap = factorial(n - i) * catalan_closed(n - i)
-        rows = [list(r) for r in table.rows]
-        rows[n - 1][i - (table.family == "a")] += 1
-        bad = CoeffTable(table.family, tuple(map(tuple, rows)))
+        bad = _shifted(table, n, i)
         expected = {"index": "0", "lhs": str(lhs), "rhs": str(lhs + gap)}
         for mode in ("series", "symbolic"):
             rep = verify(n, mode, n + 8, bad)
             assert not rep.passed
             assert rep.witness == expected
+
+    @pytest.mark.parametrize("identity,n,i", list(_table_entries("thm2", "thm4", 6)))
+    def test_forced_number_mismatch(self, identity, n, i):
+        """Every entry of rows 1..6 of the a-table (thm2, n = 3) and the
+        b-table (thm4, k = 3), shifted by +1, fails at index 3 by exactly
+        that entry's summand, computed here with rational binomials."""
+        if identity == "thm2":
+            rep = verify_thm2(3, n, a_table=_shifted(a_table_recurrence(6), n, i))
+            rhs = catalan_closed(3 + n)
+            lhs = rhs + sum(
+                4**m * binomial_general(Fraction(2 * n - i, 2) + m - 1, m)
+                * higher_catalan(i + 1, 3 - m)
+                for m in range(4)
+            ) / Fraction(factorial(3 + n), factorial(3))
+        else:
+            rep = verify_thm4(3, n, b_table=_shifted(b_table_recurrence(6), n, i))
+            rhs = higher_catalan(n + 1, 3)
+            lhs = rhs + sum(
+                binomial_general(Fraction(n, 2) - i, 3 - m) * (-4) ** (3 - m)
+                * Fraction(factorial(m + n - i), factorial(m)) * catalan_closed(m + n - i)
+                for m in range(4)
+            ) / factorial(n)
+        assert not rep.passed
+        assert rep.witness == {"index": "3", "lhs": str(lhs), "rhs": str(rhs)}
+
+    @pytest.mark.parametrize(
+        "identity,j", [("eq64", j) for j in range(11)] + [("eq66", j) for j in range(1, 11)]
+    )
+    def test_forced_convolution_mismatch(self, identity, j, monkeypatch):
+        """C_j shifted by +1 in the convolution inputs makes eq64 / eq66 at
+        nmax 10 fail at the first n where the plain rational sums disagree
+        (eq66 never reads C_0)."""
+        cs = [catalan_closed(n) for n in range(11)]
+        cs[j] += 1
+        monkeypatch.setattr(identities, "_conv_inputs", lambda nmax: list(cs))
+
+        def conv(n, ms):
+            return sum(Fraction(cs[m] * cs[n - m] * (m + 1), 2 * m - 1) for m in ms)
+
+        if identity == "eq64":
+            rep = verify_eq64(10)
+            rows = ((n, cs[n] - conv(n, range(n + 1)), 2 if n == 0 else 0)
+                    for n in range(11))
+        else:
+            rep = verify_eq66(10)
+            rows = ((n, Fraction(2 * n - 1, 3 * (n - 1)) * conv(n, range(1, n)), cs[n])
+                    for n in range(2, 11))
+        n, lhs, rhs = next(row for row in rows if row[1] != row[2])
+        assert not rep.passed
+        assert rep.witness == {"index": str(n), "lhs": str(lhs), "rhs": str(rhs)}
 
     def test_series_witness_on_forced_mismatch(self):
         bad = CoeffTable("a", ((2,),))  # a_1(1) should be 1
