@@ -6,7 +6,8 @@ canonical form (reduced, positive denominator, 0/1 for zero).  Series, ring
 elements and the numeric identities do not use it internally: they work on
 integers over one integer denominator (see `series`, `algebraic` and
 `identities`).  `binomial_general` is the plain rational reference that
-tests and the eq58 check compare those integer paths against.
+the tests compare those integer paths against; the eq58 check carries the
+same coefficients by their ratio instead, in O(K).
 """
 from __future__ import annotations
 

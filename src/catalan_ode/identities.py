@@ -7,8 +7,9 @@ convolution recurrences.
 Every check is exact arithmetic end to end.  The number identities thm2
 and thm4 are integer equations between the t^n coefficients of both sides
 of thm1 and thm3, with the (1-4t)^alpha factors taken from
-`binomial_power_series`; the eq59/eq62 sums and the eq64/eq66
-convolutions are integer sums over one common denominator; each builds a
+`binomial_power_series`; eq57 and the eq64/eq66 convolutions are integer
+sums over one common denominator; the eq59/eq62 sums are evaluated by exact
+binary splitting, as one integer fraction T / (B Q).  Each builds a
 `Fraction` only once per check, for the comparison or the witness.  The only
 inexactness anywhere is the final comparison of the two numeric sums
 against hardcoded >= 30-digit decimal enclosures of sqrt(2) and ln 2.
@@ -27,10 +28,8 @@ from .catalan import (
     higher_catalan,
 )
 from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
-from .exact import binomial_general
 from .series import (
     Series,
-    _central_binomials,
     _mul,
     binomial_power_series,
     catalan_series,
@@ -233,7 +232,8 @@ def verify_thm4(k: int, n_pow: int,
 
 def verify_inverse_delta(n_pow: int) -> VerificationReport:
     """The 'inverse' relation between the two families:
-    sum_i a_j(N-i) b_i(N) / N! = delta_{j,N} for every j in 1..N."""
+    sum_i a_j(N-i) b_i(N) / N! = delta_{j,N} for every j in 1..N, checked
+    as the integer equation sum_i a_j(N-i) b_i(N) = N! delta_{j,N}."""
     start = time.perf_counter()
     N = n_pow
     if N < 1:
@@ -242,27 +242,42 @@ def verify_inverse_delta(n_pow: int) -> VerificationReport:
     b_tab = b_table_recurrence(N)
     nfact = factorial(N)
     for j in range(1, N + 1):
-        total = Fraction(0)
-        for i in range(0, min(N - j, N // 2) + 1):
-            total += Fraction(a_tab.entry(j, N - i) * b_tab.entry(i, N), nfact)
+        total = sum(a_tab.entry(j, N - i) * b_tab.entry(i, N)
+                    for i in range(0, min(N - j, N // 2) + 1))
         expected = 1 if j == N else 0
-        if total != expected:
-            witness = {"index": str(j), "lhs": str(total), "rhs": str(expected)}
+        if total != expected * nfact:
+            witness = {"index": str(j), "lhs": str(Fraction(total, nfact)), "rhs": str(expected)}
             return _report("eq57", {"N": N}, "numeric", False, witness, start)
     return _report("eq57", {"N": N}, "numeric", True, None, start)
 
 
 def verify_sqrt_expansion(order: int) -> VerificationReport:
     """Coefficients of sqrt(1+y) against the generalized binomial
-    (1/2 choose n)."""
+    (1/2 choose n), carried by its defining ratio
+    (1/2 choose n+1) = (1/2 choose n) (1/2 - n)/(n+1)."""
     start = time.perf_counter()
     expansion = sqrt_one_plus_series(order)
+    expected = Fraction(1)
     for n in range(order + 1):
-        expected = binomial_general(Fraction(1, 2), n)
         if expansion.coeff(n) != expected:
             witness = {"index": str(n), "lhs": str(expansion.coeff(n)), "rhs": str(expected)}
             return _report("eq58", {"K": order}, "series", False, witness, start)
+        expected *= Fraction(1 - 2 * n, 2 * n + 2)
     return _report("eq58", {"K": order}, "series", True, None, start)
+
+
+def _binary_split(p, q, b, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Exact binary splitting (Haible & Papanikolaou 1998): (P, Q, B, T) with
+    sum_{lo <= n < hi} (prod_{lo <= k <= n} p(k)/q(k)) / b(n) = T / (B Q),
+    P = prod p(k), Q = prod q(k) and B = prod b(n) over [lo, hi).  The two
+    halves are joined by balanced products, O(log(hi - lo)) levels deep."""
+    if hi - lo == 1:
+        a = p(lo)
+        return a, q(lo), b(lo), a
+    mid = (lo + hi) // 2
+    pl, ql, bl, tl = _binary_split(p, q, b, lo, mid)
+    pr, qr, br, tr = _binary_split(p, q, b, mid, hi)
+    return pl * pr, ql * qr, bl * br, br * qr * tl + bl * pl * tr
 
 
 def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
@@ -271,14 +286,12 @@ def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
     the first omitted term, pass flag)."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
-    # over 4^(terms-1) lcm(1, 3, .., 2 terms - 3); C_n 4^(terms-1-n) is the
-    # scaled central binomial divided by n+1
-    odd_lcm = lcm(*range(1, 2 * terms - 2, 2))
-    total = 0
-    for n, r in _central_binomials(terms - 1):
-        c = r // (n + 1)
-        total += (c if n % 2 else -c) * (odd_lcm // (2 * n - 1))
-    partial = Fraction(total, 4 ** (terms - 1) * odd_lcm)
+    # with r_n = binom(2n,n)/4^n = prod_{1<=k<=n} (2k-1)/(2k) the term is
+    # r_n (-1)^(n-1) / ((n+1)(2n-1)); p(k) = 1 - 2k carries the sign and
+    # is 1 at k = 0
+    _, q, b, t = _binary_split(lambda k: 1 - 2 * k, lambda k: 2 * k or 1,
+                               lambda n: (n + 1) * (1 - 2 * n), 0, terms)
+    partial = Fraction(t, b * q)
     bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
     target = (4 * SQRT2_40 - 2) / 3
     passed = abs(partial - target) < bound + EPS_CONST
@@ -327,10 +340,10 @@ def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     ln 2 constant; hi is a rigorous upper bound on the truncation error."""
     if terms < 1:
         raise ValueError("need at least 1 term")
-    # over 4^terms lcm(1..terms)^2, with the scaled central binomials
-    lcm_sq = lcm(*range(1, terms + 1)) ** 2
-    total = sum(r * (lcm_sq // (n + 1) ** 2) for n, r in _central_binomials(terms - 1))
-    partial = Fraction(total, 4**terms * lcm_sq)
+    # the term is r_n / (4(n+1)^2), with r_n as in sum_eq59
+    _, q, b, t = _binary_split(lambda k: 2 * k - 1 if k else 1, lambda k: 2 * k or 1,
+                               lambda n: 4 * (n + 1) ** 2, 0, terms)
+    partial = Fraction(t, b * q)
     lo, hi = eq62_tail_enclosure(terms)
     passed = lo - EPS_CONST <= (1 - LN2_36) - partial <= hi + EPS_CONST
     return partial, hi, passed

@@ -17,8 +17,9 @@ from .identities import IDENTITY_IDS, VerificationReport
 JSON_SCHEMA_VERSION = "1"
 
 # (flag, RunConfig field, largest accepted value).  At these bounds the
-# slowest single checks (series thm1 at N = 40, K = 512; eq64 at 1000; the
-# eq59/eq62 sums at 10000 terms) take seconds rather than hours.
+# slowest single checks (series thm1 at N = 40, K = 512; eq64/eq66 at 1000)
+# take seconds rather than hours; the eq59/eq62 sums at 10000 terms take
+# well under a second.
 UPPER_BOUNDS = (
     ("--max-N", "max_n_deriv", 40),
     ("--order", "series_order", 512),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -32,6 +32,8 @@ from catalan_ode.identities import (
     verify_thm3,
     verify_thm4,
 )
+from catalan_ode.runner import UPPER_BOUNDS
+from catalan_ode.series import Series, sqrt_one_plus_series
 
 
 class TestForwardOde:
@@ -111,11 +113,48 @@ class TestInverseDelta:
         for n in range(1, 13):
             assert verify_inverse_delta(n).passed
 
+    @pytest.mark.parametrize(
+        "family,row,entry",
+        [("a", 6 - k, j) for k in range(4) for j in range(1, 7 - k)]
+        + [("b", 6, k) for k in range(4)],
+    )
+    def test_forced_mismatch(self, family, row, entry, monkeypatch):
+        """Every a-entry that eq57 reads at N = 6, and b-entries 0..3 of row
+        6, shifted by +1, make it fail at the first j where the plain
+        rational sums disagree: j = entry for an a-entry, 1 for a b-entry."""
+        a_tab, b_tab = a_table_recurrence(6), b_table_recurrence(6)
+        if family == "a":
+            a_tab = _shifted(a_tab, row, entry)
+            monkeypatch.setattr(identities, "a_table_recurrence", lambda n: a_tab)
+        else:
+            b_tab = _shifted(b_tab, row, entry)
+            monkeypatch.setattr(identities, "b_table_recurrence", lambda n: b_tab)
+        rep = verify_inverse_delta(6)
+        rows = ((j, sum(Fraction(a_tab.entry(j, 6 - k) * b_tab.entry(k, 6), factorial(6))
+                        for k in range(min(6 - j, 3) + 1)), int(j == 6))
+                for j in range(1, 7))
+        j, lhs, rhs = next(row for row in rows if row[1] != row[2])
+        assert j == (entry if family == "a" else 1)
+        assert not rep.passed
+        assert rep.witness == {"index": str(j), "lhs": str(lhs), "rhs": str(rhs)}
+
 
 class TestSqrtExpansion:
     def test_order_64(self):
         rep = verify_sqrt_expansion(64)
         assert rep.passed and rep.parameters == {"K": 64}
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64])
+    def test_forced_mismatch(self, n, monkeypatch):
+        """Coefficient n of the expansion shifted by +1 fails at index n
+        against the rational (1/2 choose n)."""
+        coeffs = list(sqrt_one_plus_series(64).coeffs)
+        coeffs[n] += 1
+        monkeypatch.setattr(identities, "sqrt_one_plus_series", lambda order: Series(coeffs))
+        rep = verify_sqrt_expansion(64)
+        expected = binomial_general(Fraction(1, 2), n)
+        assert not rep.passed
+        assert rep.witness == {"index": str(n), "lhs": str(expected + 1), "rhs": str(expected)}
 
 
 class TestSumEq59:
@@ -220,6 +259,56 @@ class TestSumEq62:
 
     def test_report(self):
         assert report_eq62(2000).identity == "eq62"
+
+
+def _term_eq59(n):
+    return Fraction(catalan_closed(n) * (1 if n % 2 else -1), 4**n * (2 * n - 1))
+
+
+def _term_eq62(n):
+    return Fraction(comb(2 * n, n), (n + 1) ** 2 * 4 ** (n + 1))
+
+
+SUMS = {"eq59": (sum_eq59, _term_eq59, 2, 500), "eq62": (sum_eq62, _term_eq62, 1, 2000)}
+
+
+class TestSumsBySplitting:
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_matches_plain_fraction_sum(self, identity):
+        sum_fn, term, first, _ = SUMS[identity]
+        partial = Fraction(0)
+        for terms in range(1, 301):
+            partial += term(terms - 1)
+            if terms >= first and (terms <= 64 or terms == 300):
+                assert sum_fn(terms)[0] == partial
+
+    @pytest.mark.parametrize("factor", [0, 2])
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_one_term_omitted_or_doubled(self, identity, n, factor, monkeypatch):
+        """Term n scaled by 0 or 2 inside the split fails the check.  A
+        change to the last term would be smaller than the eq62 enclosure
+        width, so it is not a control."""
+        sum_fn, term, _, terms = SUMS[identity]
+        good = sum_fn(terms)[0]
+        split = identities._binary_split
+
+        def scaled(p, q, b, lo, hi):
+            P, Q, B, T = split(p, q, b, lo, hi)
+            if (lo, hi) == (0, terms):
+                qn = prod(q(k) for k in range(n + 1))
+                T += (factor - 1) * prod(p(k) for k in range(n + 1)) * (Q // qn) * (B // b(n))
+            return P, Q, B, T
+
+        monkeypatch.setattr(identities, "_binary_split", scaled)
+        partial, _, passed = sum_fn(terms)
+        assert partial - good == (factor - 1) * term(n)
+        assert not passed
+
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_upper_bound(self, identity):
+        terms = {name: cap for _, name, cap in UPPER_BOUNDS}[f"terms_{identity}"]
+        assert SUMS[identity][0](terms)[2]
 
 
 class TestConvolutionRecurrences:

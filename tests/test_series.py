@@ -15,7 +15,12 @@ from catalan_ode.series import (
     sqrt_one_plus_series,
 )
 
-small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# every n/d with d <= 6 and |n/d| <= 5, the support of
+# st.fractions(min_value=-5, max_value=5, max_denominator=6), generated
+# about three times faster
+small_rationals = st.integers(1, 6).flatmap(
+    lambda d: st.integers(-5 * d, 5 * d).map(lambda n: Fraction(n, d))
+)
 series16 = st.lists(small_rationals, min_size=17, max_size=17).map(Series)
 
 
