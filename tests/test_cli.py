@@ -9,6 +9,17 @@ from catalan_ode.identities import VerificationReport
 from catalan_ode.runner import RunConfig, emit_report, run_suite
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "catalan_b000108.txt"
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+# `verify --id all --format json` flag sets whose stdout is committed as
+# tests/data/verify_<name>.json
+GOLDEN_FLAGS = {
+    "suite_default": [],
+    "symbolic_deep": ["--max-N", "14", "--order", "22", "--terms-eq59", "2",
+                      "--terms-eq62", "1", "--conv-max", "2", "--max-n", "1"],
+    "numeric_deep": ["--max-N", "6", "--order", "14", "--max-n", "40",
+                     "--terms-eq59", "2000", "--terms-eq62", "3000", "--conv-max", "400"],
+}
 
 
 class TestBFileParser:
@@ -110,6 +121,13 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--id", "eq57", "--parallelism", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FLAGS))
+    def test_json_matches_golden(self, name, capsys):
+        """The whole suite's JSON is byte-identical to the committed output."""
+        assert main(["verify", "--id", "all", "--format", "json", *GOLDEN_FLAGS[name]]) == 0
+        golden = (GOLDEN / f"verify_{name}.json").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
 
 
 class TestCrosscheckCommand:
