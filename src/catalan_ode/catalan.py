@@ -1,11 +1,11 @@
-"""Catalan and higher-order Catalan numbers by independent routes."""
+"""Catalan and higher-order Catalan numbers by independent routes: C_n by
+closed form, product formula and convolution recurrence, C_n^(r) by its
+closed form (the tests compare it with powers of the Catalan series)."""
 from __future__ import annotations
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import comb
-
-from .series import _mul
 
 # 40 significant digits; plenty for the asymptotic-ratio sanity check.
 PI_40 = Decimal("3.141592653589793238462643383279502884197")
@@ -46,23 +46,18 @@ def catalan_recurrence(nmax: int) -> list[int]:
     return cs
 
 
-_power_cache: dict[int, list[int]] = {}
-
-
 def higher_catalan(r: int, n: int) -> int:
     """C_n^(r): coefficient of t^n in the r-th power of the Catalan
-    generating function, by iterated convolution with a shared memo."""
+    generating function, by the closed form r/(2n+r) binom(2n+r, n); the
+    division is always exact."""
     if r < 1:
         raise ValueError("order r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    prefix = _power_cache.get(r)
-    if prefix is None or len(prefix) <= n:
-        prefix = base = catalan_recurrence(n)
-        for _ in range(r - 1):
-            prefix = _mul(prefix, base, n + 1)
-        _power_cache[r] = prefix
-    return prefix[n]
+    q, rem = divmod(r * comb(2 * n + r, n), 2 * n + r)
+    if rem:
+        raise ArithmeticError("higher-order Catalan divisibility violated")
+    return q
 
 
 def catalan_asymptotic_ratio(n: int, digits: int = 40) -> Decimal:

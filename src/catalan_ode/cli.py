@@ -18,7 +18,7 @@ from .bfile import parse_bfile
 from .catalan import catalan_closed, higher_catalan
 from .coefficients import a_table_recurrence, b_table_recurrence
 from .identities import IDENTITY_IDS
-from .runner import RunConfig, emit_report, run_suite
+from .runner import COMMAND_BOUNDS, UPPER_BOUNDS, RunConfig, emit_report, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,12 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity verification")
     p.add_argument("--id", dest="identity", default="all",
                    choices=IDENTITY_IDS + ("all",))
-    p.add_argument("--max-N", dest="max_n", type=int, default=8)
-    p.add_argument("--order", type=int, default=64, help="series truncation order K")
-    p.add_argument("--max-n", dest="max_index", type=int, default=20)
-    p.add_argument("--terms-eq59", type=int, default=500)
-    p.add_argument("--terms-eq62", type=int, default=2000)
-    p.add_argument("--conv-max", type=int, default=200)
+    for flag, name, _ in UPPER_BOUNDS:
+        p.add_argument(flag, dest=name, type=int, default=getattr(RunConfig, name))
     p.add_argument("--format", dest="fmt", choices=("human", "json"), default="human")
 
     p = sub.add_parser("crosscheck", help="check Catalan values against a b-file")
@@ -58,22 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(
-        max_n_deriv=args.max_n,
-        series_order=args.order,
-        max_index=args.max_index,
-        terms_eq59=args.terms_eq59,
-        terms_eq62=args.terms_eq62,
-        conv_max=args.conv_max,
-        fmt=args.fmt,
-    )
+    cfg = RunConfig(**{name: getattr(args, name) for _, name, _ in UPPER_BOUNDS})
     try:
         cfg.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = run_suite(args.identity, cfg)
-    print(emit_report(reports, cfg.fmt))
+    print(emit_report(reports, args.fmt))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -105,6 +93,10 @@ def _cmd_crosscheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for command, flag, dest, cap in COMMAND_BOUNDS:
+        if command == args.command and getattr(args, dest) > cap:
+            print(f"error: {flag} must be at most {cap}", file=sys.stderr)
+            return 2
 
     if args.command == "catalan":
         if args.max < 0:

@@ -13,11 +13,17 @@ binary splitting, as one integer fraction T / (B Q).  Each builds a
 `Fraction` only once per check, for the comparison or the witness.  The only
 inexactness anywhere is the final comparison of the two numeric sums
 against hardcoded >= 30-digit decimal enclosures of sqrt(2) and ln 2.
+
+thm1 and thm3 each have one body for both mechanisms: `_mechanism` supplies
+C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring
+elements, and `_compare` turns the two sides into a report.  A failing
+report's witness holds exact decimal strings of any length.  `VERIFIERS`
+maps every identity id to its verifier; the runner calls and times them.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm, perm
 
@@ -29,7 +35,6 @@ from .catalan import (
 )
 from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
 from .series import (
-    Series,
     _mul,
     binomial_power_series,
     catalan_series,
@@ -37,19 +42,22 @@ from .series import (
     sqrt_one_plus_series,
 )
 
-IDENTITY_IDS = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "eq57",
-    "eq58",
-    "eq59",
-    "eq62",
-    "eq64",
-    "eq66",
-    "asymptotic",
-)
+# identity id -> name of its verifier in this module; the runner looks the
+# name up at call time
+VERIFIERS = {
+    "thm1": "verify_thm1",
+    "thm2": "verify_thm2",
+    "thm3": "verify_thm3",
+    "thm4": "verify_thm4",
+    "eq57": "verify_inverse_delta",
+    "eq58": "verify_sqrt_expansion",
+    "eq59": "report_eq59",
+    "eq62": "report_eq62",
+    "eq64": "verify_eq64",
+    "eq66": "verify_eq66",
+    "asymptotic": "verify_asymptotic",
+}
+IDENTITY_IDS = tuple(VERIFIERS)
 
 # Slack for the decimal rounding of the hardcoded constants below.
 EPS_CONST = Fraction(1, 10**25)
@@ -71,73 +79,74 @@ class VerificationReport:
     cost: float = field(default=0.0, compare=False)
 
 
-def _report(identity, parameters, mode, passed, witness, start):
-    return VerificationReport(
-        identity=identity,
-        parameters=dict(parameters),
-        mode=mode,
-        passed=passed,
-        witness=witness if not passed else None,
-        cost=time.perf_counter() - start,
-    )
+def _report(identity, parameters, mode, witness) -> VerificationReport:
+    return VerificationReport(identity, parameters, mode, witness is None, witness)
 
 
-def _mismatch_witness(mm) -> dict[str, str]:
-    n, lhs, rhs = mm
-    return {"index": str(n), "lhs": str(lhs), "rhs": str(rhs)}
+def _exact_str(x) -> str:
+    """str of an int or Fraction, through Decimal so that no int -> str
+    digit limit applies; any other value by plain str."""
+    if isinstance(x, int):
+        return str(Decimal(x))
+    if isinstance(x, Fraction):
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    return str(x)
+
+
+def _witness(index, lhs, rhs) -> dict[str, str]:
+    return {"index": str(index), "lhs": _exact_str(lhs), "rhs": _exact_str(rhs)}
 
 
 def _symbolic_witness(lhs: AlgebraicElement, rhs: AlgebraicElement) -> dict[str, str]:
     # lhs - rhs is nonzero, so it has a nonzero Taylor coefficient at an
     # index no larger than its valuation bound.
     order = (lhs - rhs).valuation_bound()
-    return _mismatch_witness(first_mismatch(lhs.to_series(order), rhs.to_series(order)))
+    return _witness(*first_mismatch(lhs.to_series(order), rhs.to_series(order)))
+
+
+def _mechanism(N: int, mode: str, order: int):
+    """(C, e -> s^e, report parameters) of one mechanism, s = sqrt(1-4t):
+    truncated series at order K, or the exact ring."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if mode == "series":
+        if order < N + 8:
+            raise ValueError("series order must be at least N + 8")
+        return (catalan_series(order),
+                lambda e: binomial_power_series(Fraction(e, 2), order),
+                {"N": N, "K": order})
+    if mode == "symbolic":
+        return AlgebraicElement.catalan(), AlgebraicElement.half_power, {"N": N}
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
+    """Series are compared coefficient by coefficient; ring elements by the
+    zero test of lhs - rhs, with a witness only when it fails."""
+    if mode == "series":
+        mm = first_mismatch(lhs, rhs)
+        return _report(identity, parameters, mode, mm and _witness(*mm))
+    passed = (lhs - rhs).is_zero()
+    return _report(identity, parameters, mode, None if passed else _symbolic_witness(lhs, rhs))
 
 
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
     a_i(N) (1-4t)^(-(2N-i)/2) C^(i+1), in series or symbolic mode."""
-    start = time.perf_counter()
     N = n_deriv
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if mode not in ("series", "symbolic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "series" and order < N + 8:
-        raise ValueError("series order must be at least N + 8")
+    cat, half_power, params = _mechanism(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
-    params = {"N": N, "K": order} if mode == "series" else {"N": N}
-
-    if mode == "series":
-        cat = catalan_series(order)
-        lhs = cat
-        for _ in range(N):
-            lhs = lhs.derivative()
-        rhs = Series.constant(0, order)
-        cat_pow = cat
-        for i in range(1, N + 1):
-            cat_pow = cat_pow * cat
-            power = binomial_power_series(Fraction(-(2 * N - i), 2), order)
-            rhs = rhs + table.entry(i, N) * (power * cat_pow)
-        mm = first_mismatch(lhs, rhs)
-        return _report("thm1", params, mode, mm is None,
-                       _mismatch_witness(mm) if mm else None, start)
-
-    cat = AlgebraicElement.catalan()
     lhs = cat
     for _ in range(N):
         lhs = lhs.derivative()
-    rhs = AlgebraicElement.from_rational(0)
+    terms = []
     cat_pow = cat
     for i in range(1, N + 1):
         cat_pow = cat_pow * cat
-        rhs = rhs + table.entry(i, N) * (
-            AlgebraicElement.half_power(i - 2 * N) * cat_pow
-        )
-    passed = (lhs - rhs).is_zero()
-    return _report("thm1", params, mode, passed,
-                   None if passed else _symbolic_witness(lhs, rhs), start)
+        terms.append(table.entry(i, N) * (half_power(i - 2 * N) * cat_pow))
+    return _compare("thm1", params, mode, lhs, sum(terms[1:], terms[0]))
 
 
 def verify_thm2(n: int, n_deriv: int,
@@ -145,7 +154,6 @@ def verify_thm2(n: int, n_deriv: int,
     """C_{n+N} recovered from the forward expansion: the t^n coefficient of
     thm1, (n+N)!/n! C_{n+N} = sum_i a_i(N) sum_m c_m C^(i+1)_{n-m}, with
     c_m = 4^m binom((2N-i)/2 + m - 1, m) = [t^m] (1-4t)^(-(2N-i)/2)."""
-    start = time.perf_counter()
     N = n_deriv
     if n < 0 or N < 1:
         raise ValueError("need n >= 0 and N >= 1")
@@ -158,52 +166,23 @@ def verify_thm2(n: int, n_deriv: int,
         )
     value = Fraction(total, perm(n + N, N))
     target = catalan_closed(n + N)
-    passed = value == target
-    witness = None if passed else {"index": str(n), "lhs": str(value), "rhs": str(target)}
-    return _report("thm2", {"n": n, "N": N}, "numeric", passed, witness, start)
+    witness = None if value == target else _witness(n, value, target)
+    return _report("thm2", {"n": n, "N": N}, "numeric", witness)
 
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None) -> VerificationReport:
     """N! C^(N+1) versus the sum of b_i(N) (1-4t)^(N/2-i) C^((N-i))."""
-    start = time.perf_counter()
     N = n_pow
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if mode not in ("series", "symbolic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "series" and order < N + 8:
-        raise ValueError("series order must be at least N + 8")
+    cat, half_power, params = _mechanism(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
-    params = {"N": N, "K": order} if mode == "series" else {"N": N}
-
-    if mode == "series":
-        cat = catalan_series(order)
-        lhs = factorial(N) * cat ** (N + 1)
-        derivs = [cat]
-        for _ in range(N):
-            derivs.append(derivs[-1].derivative())
-        rhs = Series.constant(0, order - N)
-        for i in range(0, N // 2 + 1):
-            power = binomial_power_series(Fraction(N - 2 * i, 2), order)
-            rhs = rhs + table.entry(i, N) * (power * derivs[N - i])
-        mm = first_mismatch(lhs, rhs)
-        return _report("thm3", params, mode, mm is None,
-                       _mismatch_witness(mm) if mm else None, start)
-
-    cat = AlgebraicElement.catalan()
     lhs = factorial(N) * cat ** (N + 1)
     derivs = [cat]
     for _ in range(N):
         derivs.append(derivs[-1].derivative())
-    rhs = AlgebraicElement.from_rational(0)
-    for i in range(0, N // 2 + 1):
-        rhs = rhs + table.entry(i, N) * (
-            AlgebraicElement.half_power(N - 2 * i) * derivs[N - i]
-        )
-    passed = (lhs - rhs).is_zero()
-    return _report("thm3", params, mode, passed,
-                   None if passed else _symbolic_witness(lhs, rhs), start)
+    terms = [table.entry(i, N) * (half_power(N - 2 * i) * derivs[N - i])
+             for i in range(0, N // 2 + 1)]
+    return _compare("thm3", params, mode, lhs, sum(terms[1:], terms[0]))
 
 
 def verify_thm4(k: int, n_pow: int,
@@ -211,7 +190,6 @@ def verify_thm4(k: int, n_pow: int,
     """C_k^(N+1) recovered from the inverse expansion: the t^k coefficient
     of thm3, N! C^(N+1)_k = sum_i b_i(N) sum_m c_{k-m} (m+N-i)!/m! C_{m+N-i},
     with c_j = binom(N/2 - i, j) (-4)^j = [t^j] (1-4t)^(N/2-i)."""
-    start = time.perf_counter()
     N = n_pow
     if k < 0 or N < 1:
         raise ValueError("need k >= 0 and N >= 1")
@@ -225,16 +203,14 @@ def verify_thm4(k: int, n_pow: int,
         )
     value = Fraction(total, factorial(N))
     target = higher_catalan(N + 1, k)
-    passed = value == target
-    witness = None if passed else {"index": str(k), "lhs": str(value), "rhs": str(target)}
-    return _report("thm4", {"k": k, "N": N}, "numeric", passed, witness, start)
+    witness = None if value == target else _witness(k, value, target)
+    return _report("thm4", {"k": k, "N": N}, "numeric", witness)
 
 
 def verify_inverse_delta(n_pow: int) -> VerificationReport:
     """The 'inverse' relation between the two families:
     sum_i a_j(N-i) b_i(N) / N! = delta_{j,N} for every j in 1..N, checked
     as the integer equation sum_i a_j(N-i) b_i(N) = N! delta_{j,N}."""
-    start = time.perf_counter()
     N = n_pow
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -246,24 +222,23 @@ def verify_inverse_delta(n_pow: int) -> VerificationReport:
                     for i in range(0, min(N - j, N // 2) + 1))
         expected = 1 if j == N else 0
         if total != expected * nfact:
-            witness = {"index": str(j), "lhs": str(Fraction(total, nfact)), "rhs": str(expected)}
-            return _report("eq57", {"N": N}, "numeric", False, witness, start)
-    return _report("eq57", {"N": N}, "numeric", True, None, start)
+            return _report("eq57", {"N": N}, "numeric",
+                           _witness(j, Fraction(total, nfact), expected))
+    return _report("eq57", {"N": N}, "numeric", None)
 
 
 def verify_sqrt_expansion(order: int) -> VerificationReport:
     """Coefficients of sqrt(1+y) against the generalized binomial
     (1/2 choose n), carried by its defining ratio
     (1/2 choose n+1) = (1/2 choose n) (1/2 - n)/(n+1)."""
-    start = time.perf_counter()
     expansion = sqrt_one_plus_series(order)
     expected = Fraction(1)
     for n in range(order + 1):
         if expansion.coeff(n) != expected:
-            witness = {"index": str(n), "lhs": str(expansion.coeff(n)), "rhs": str(expected)}
-            return _report("eq58", {"K": order}, "series", False, witness, start)
+            return _report("eq58", {"K": order}, "series",
+                           _witness(n, expansion.coeff(n), expected))
         expected *= Fraction(1 - 2 * n, 2 * n + 2)
-    return _report("eq58", {"K": order}, "series", True, None, start)
+    return _report("eq58", {"K": order}, "series", None)
 
 
 def _binary_split(p, q, b, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -350,21 +325,15 @@ def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
 
 
 def report_eq59(terms: int) -> VerificationReport:
-    start = time.perf_counter()
     partial, bound, passed = sum_eq59(terms)
-    witness = None if passed else {
-        "index": str(terms), "lhs": str(partial), "rhs": str((4 * SQRT2_40 - 2) / 3)
-    }
-    return _report("eq59", {"terms": terms}, "numeric", passed, witness, start)
+    witness = None if passed else _witness(terms, partial, (4 * SQRT2_40 - 2) / 3)
+    return _report("eq59", {"terms": terms}, "numeric", witness)
 
 
 def report_eq62(terms: int) -> VerificationReport:
-    start = time.perf_counter()
     partial, bound, passed = sum_eq62(terms)
-    witness = None if passed else {
-        "index": str(terms), "lhs": str(partial), "rhs": str(1 - LN2_36)
-    }
-    return _report("eq62", {"terms": terms}, "numeric", passed, witness, start)
+    witness = None if passed else _witness(terms, partial, 1 - LN2_36)
+    return _report("eq62", {"terms": terms}, "numeric", witness)
 
 
 def _conv_inputs(nmax: int) -> list[int]:
@@ -384,7 +353,6 @@ def _conv_weights(cs: list[int]) -> tuple[int, list[int]]:
 def verify_eq64(nmax: int) -> VerificationReport:
     """C_n - sum_{m=0}^{n} C_m C_{n-m} (m+1)/(2m-1) equals 2 at n=0 and 0 for
     n >= 1 (the m=0 factor is exactly 1/(-1), no special casing)."""
-    start = time.perf_counter()
     cs = _conv_inputs(nmax)
     den, u = _conv_weights(cs)
     conv = _mul(u, cs, nmax + 1)
@@ -392,15 +360,13 @@ def verify_eq64(nmax: int) -> VerificationReport:
     for n in range(nmax + 1):
         expected = 2 if n == 0 else 0
         if cs[n] * den - conv[n] != expected * den:
-            value = Fraction(cs[n] * den - conv[n], den)
-            witness = {"index": str(n), "lhs": str(value), "rhs": str(expected)}
+            witness = _witness(n, Fraction(cs[n] * den - conv[n], den), expected)
             break
-    return _report("eq64", {"nmax": nmax}, "numeric", witness is None, witness, start)
+    return _report("eq64", {"nmax": nmax}, "numeric", witness)
 
 
 def verify_eq66(nmax: int) -> VerificationReport:
     """C_n = (2n-1)/(3(n-1)) * sum_{m=1}^{n-1} C_m C_{n-m} (m+1)/(2m-1) for n >= 2."""
-    start = time.perf_counter()
     cs = _conv_inputs(nmax)
     den, u = _conv_weights(cs)
     # zeroing index 0 of both factors leaves m = 1..n-1
@@ -408,10 +374,9 @@ def verify_eq66(nmax: int) -> VerificationReport:
     witness = None
     for n in range(2, nmax + 1):
         if (2 * n - 1) * inner[n] != 3 * (n - 1) * den * cs[n]:
-            value = Fraction((2 * n - 1) * inner[n], 3 * (n - 1) * den)
-            witness = {"index": str(n), "lhs": str(value), "rhs": str(cs[n])}
+            witness = _witness(n, Fraction((2 * n - 1) * inner[n], 3 * (n - 1) * den), cs[n])
             break
-    return _report("eq66", {"nmax": nmax}, "numeric", witness is None, witness, start)
+    return _report("eq66", {"nmax": nmax}, "numeric", witness)
 
 
 def verify_convolution_recurrences(nmax: int) -> tuple[VerificationReport, VerificationReport]:
@@ -419,12 +384,9 @@ def verify_convolution_recurrences(nmax: int) -> tuple[VerificationReport, Verif
     return verify_eq64(nmax), verify_eq66(nmax)
 
 
-def verify_asymptotic(n: int = 1000, lo: float = 0.99, hi: float = 1.01) -> VerificationReport:
-    """C_n n^(3/2) sqrt(pi) / 4^n must sit inside the stated band."""
-    start = time.perf_counter()
+def verify_asymptotic(n: int = 1000) -> VerificationReport:
+    """C_n n^(3/2) sqrt(pi) / 4^n must sit inside the band (0.99, 1.01)."""
     ratio = catalan_asymptotic_ratio(n)
-    passed = Fraction(str(lo)) < Fraction(ratio) < Fraction(str(hi))
-    witness = None if passed else {
-        "index": str(n), "lhs": str(ratio), "rhs": f"({lo}, {hi})"
-    }
-    return _report("asymptotic", {"n": n}, "numeric", passed, witness, start)
+    passed = Fraction(99, 100) < Fraction(ratio) < Fraction(101, 100)
+    witness = None if passed else _witness(n, ratio, "(0.99, 1.01)")
+    return _report("asymptotic", {"n": n}, "numeric", witness)

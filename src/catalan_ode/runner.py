@@ -1,7 +1,9 @@
 """Verification-suite assembly and report emission.
 
-Jobs are pure functions run one after another in one thread; the final
-report list is always sorted the same way, which keeps the JSON output
+A job is plain data: an identity id and the argument tuple of its verifier,
+which `identities.VERIFIERS` names.  `run_suite` runs the jobs one after
+another in one thread, times each into its report's `cost`, and always
+sorts the reports the same way, which keeps the JSON output
 byte-deterministic (elapsed times are reported in the human table only,
 never in JSON).
 """
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from time import perf_counter
 
 from . import identities as ids
 from .coefficients import a_table_recurrence, b_table_recurrence
@@ -16,7 +19,8 @@ from .identities import IDENTITY_IDS, VerificationReport
 
 JSON_SCHEMA_VERSION = "1"
 
-# (flag, RunConfig field, largest accepted value).  At these bounds the
+# (flag, RunConfig field, largest accepted value) of every `verify` bound;
+# the CLI builds these flags with RunConfig's defaults.  At these bounds the
 # slowest single checks (series thm1 at N = 40, K = 512; eq64/eq66 at 1000)
 # take seconds rather than hours; the eq59/eq62 sums at 10000 terms take
 # well under a second.
@@ -29,6 +33,19 @@ UPPER_BOUNDS = (
     ("--conv-max", "conv_max", 1000),
 )
 
+# (subcommand, flag, argparse dest, largest accepted value) of the other
+# subcommands.  At these bounds each command takes about a second, and every
+# number it prints stays below Python's 4300-digit int -> str limit.
+COMMAND_BOUNDS = (
+    ("catalan", "--max", "max", 2500),
+    ("higher", "--r", "r", 1000),
+    ("higher", "--max", "max", 2000),
+    ("coeffs", "--max-N", "max_n", 200),
+)
+
+# The number identities thm2/thm4 check rows N <= min(max_n_deriv, NUMBER_MAX_N).
+NUMBER_MAX_N = 6
+
 
 @dataclass
 class RunConfig:
@@ -38,7 +55,6 @@ class RunConfig:
     terms_eq59: int = 500
     terms_eq62: int = 2000
     conv_max: int = 200       # n bound for the convolution recurrences
-    fmt: str = "human"
 
     def validate(self) -> None:
         if self.max_n_deriv < 1 or self.max_index < 1 or self.conv_max < 2:
@@ -50,50 +66,34 @@ class RunConfig:
         for flag, name, cap in UPPER_BOUNDS:
             if getattr(self, name) > cap:
                 raise ValueError(f"{flag} must be at most {cap}")
-        if self.fmt not in ("human", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
-def _jobs_for(identity: str, cfg: RunConfig):
-    jobs = []
-    if identity == "thm1":
-        a_tab = a_table_recurrence(cfg.max_n_deriv)
-        for n in range(1, cfg.max_n_deriv + 1):
-            for mode in ("series", "symbolic"):
-                jobs.append(lambda n=n, mode=mode: ids.verify_thm1(
-                    n, mode, cfg.series_order, a_table=a_tab))
-    elif identity == "thm2":
-        for big_n in range(1, min(cfg.max_n_deriv, 6) + 1):
-            for n in range(cfg.max_index + 1):
-                jobs.append(lambda n=n, big_n=big_n: ids.verify_thm2(n, big_n))
-    elif identity == "thm3":
-        b_tab = b_table_recurrence(cfg.max_n_deriv)
-        for n in range(1, cfg.max_n_deriv + 1):
-            for mode in ("series", "symbolic"):
-                jobs.append(lambda n=n, mode=mode: ids.verify_thm3(
-                    n, mode, cfg.series_order, b_table=b_tab))
-    elif identity == "thm4":
-        for big_n in range(1, min(cfg.max_n_deriv, 6) + 1):
-            for k in range(cfg.max_index + 1):
-                jobs.append(lambda k=k, big_n=big_n: ids.verify_thm4(k, big_n))
-    elif identity == "eq57":
-        for n in range(1, cfg.max_n_deriv + 1):
-            jobs.append(lambda n=n: ids.verify_inverse_delta(n))
-    elif identity == "eq58":
-        jobs.append(lambda: ids.verify_sqrt_expansion(cfg.series_order))
-    elif identity == "eq59":
-        jobs.append(lambda: ids.report_eq59(cfg.terms_eq59))
-    elif identity == "eq62":
-        jobs.append(lambda: ids.report_eq62(cfg.terms_eq62))
-    elif identity == "eq64":
-        jobs.append(lambda: ids.verify_eq64(cfg.conv_max))
-    elif identity == "eq66":
-        jobs.append(lambda: ids.verify_eq66(cfg.conv_max))
-    elif identity == "asymptotic":
-        jobs.append(lambda: ids.verify_asymptotic())
-    else:
+def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
+    """(identity, verifier arguments) of every check of one identity, or of
+    all of them.  thm1-thm4 share the one a and b table built here."""
+    if identity != "all" and identity not in ids.VERIFIERS:
         raise ValueError(f"unknown identity {identity!r}")
-    return jobs
+    a_tab = a_table_recurrence(cfg.max_n_deriv)
+    b_tab = b_table_recurrence(cfg.max_n_deriv)
+    rows = range(1, cfg.max_n_deriv + 1)
+    number_rows = range(1, min(cfg.max_n_deriv, NUMBER_MAX_N) + 1)
+    indices = range(cfg.max_index + 1)
+    modes = ("series", "symbolic")
+    grids = {
+        "thm1": [(N, mode, cfg.series_order, a_tab) for N in rows for mode in modes],
+        "thm2": [(n, N, a_tab) for N in number_rows for n in indices],
+        "thm3": [(N, mode, cfg.series_order, b_tab) for N in rows for mode in modes],
+        "thm4": [(k, N, b_tab) for N in number_rows for k in indices],
+        "eq57": [(N,) for N in rows],
+        "eq58": [(cfg.series_order,)],
+        "eq59": [(cfg.terms_eq59,)],
+        "eq62": [(cfg.terms_eq62,)],
+        "eq64": [(cfg.conv_max,)],
+        "eq66": [(cfg.conv_max,)],
+        "asymptotic": [()],
+    }
+    selected = IDENTITY_IDS if identity == "all" else (identity,)
+    return [(ident, args) for ident in selected for args in grids[ident]]
 
 
 def _sort_key(r: VerificationReport):
@@ -104,13 +104,14 @@ def run_suite(identity: str, cfg: RunConfig) -> list[VerificationReport]:
     """Run one identity (or 'all') under the given configuration and return
     deterministically ordered reports."""
     cfg.validate()
-    if identity == "all":
-        jobs = []
-        for ident in IDENTITY_IDS:
-            jobs.extend(_jobs_for(ident, cfg))
-    else:
-        jobs = _jobs_for(identity, cfg)
-    return sorted((job() for job in jobs), key=_sort_key)
+    reports = []
+    for ident, args in _jobs(identity, cfg):
+        verify = getattr(ids, ids.VERIFIERS[ident])
+        start = perf_counter()
+        report = verify(*args)
+        report.cost = perf_counter() - start
+        reports.append(report)
+    return sorted(reports, key=_sort_key)
 
 
 def report_to_dict(r: VerificationReport) -> dict:

@@ -3,10 +3,18 @@ from pathlib import Path
 
 import pytest
 
+from catalan_ode import identities
 from catalan_ode.bfile import parse_bfile
+from catalan_ode.catalan import catalan_closed, higher_catalan
 from catalan_ode.cli import main
 from catalan_ode.identities import VerificationReport
-from catalan_ode.runner import RunConfig, emit_report, run_suite
+from catalan_ode.runner import (
+    COMMAND_BOUNDS,
+    NUMBER_MAX_N,
+    RunConfig,
+    emit_report,
+    run_suite,
+)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "catalan_b000108.txt"
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -128,6 +136,58 @@ class TestVerifyCommand:
         assert main(["verify", "--id", "all", "--format", "json", *GOLDEN_FLAGS[name]]) == 0
         golden = (GOLDEN / f"verify_{name}.json").read_bytes()
         assert capsys.readouterr().out.encode() == golden
+
+
+def _cap(command, flag):
+    return next(cap for c, f, _, cap in COMMAND_BOUNDS if (c, f) == (command, flag))
+
+
+class TestCommandBounds:
+    def test_catalan_at_bound(self, capsys):
+        cap = _cap("catalan", "--max")
+        assert main(["catalan", "--max", str(cap)]) == 0
+        values = capsys.readouterr().out.strip().split(",")
+        assert len(values) == cap + 1 and values[-1] == str(catalan_closed(cap))
+
+    def test_higher_at_bound(self, capsys):
+        r, n = _cap("higher", "--r"), _cap("higher", "--max")
+        assert main(["higher", "--r", str(r), "--max", str(n)]) == 0
+        values = capsys.readouterr().out.strip().split(",")
+        assert len(values) == n + 1 and values[-1] == str(higher_catalan(r, n))
+
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_coeffs_at_bound(self, family, capsys):
+        cap = _cap("coeffs", "--max-N")
+        assert main(["coeffs", "--family", family, "--max-N", str(cap)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == cap
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["catalan", "--max", "{}"], "--max"),
+        (["higher", "--r", "{}", "--max", "3"], "--r"),
+        (["higher", "--r", "3", "--max", "{}"], "--max"),
+        (["coeffs", "--family", "b", "--max-N", "{}"], "--max-N"),
+    ])
+    def test_above_bound_is_usage_error(self, argv, flag, capsys):
+        cap = _cap(argv[0], flag)
+        assert main([a.format(cap + 1) for a in argv]) == 2
+        assert f"{flag} must be at most {cap}" in capsys.readouterr().err
+
+
+class TestRunSuite:
+    def test_runner_times_each_job(self):
+        assert identities.verify_sqrt_expansion(8).cost == 0.0
+        reports = run_suite("eq57", RunConfig(max_n_deriv=3))
+        assert len(reports) == 3 and all(r.cost > 0 for r in reports)
+
+    def test_number_identities_stop_at_row_limit(self):
+        cfg = RunConfig(max_n_deriv=NUMBER_MAX_N + 2, max_index=1)
+        for ident in ("thm2", "thm4"):
+            rows = {r.parameters["N"] for r in run_suite(ident, cfg)}
+            assert rows == set(range(1, NUMBER_MAX_N + 1))
+
+    def test_unknown_identity(self):
+        with pytest.raises(ValueError, match="unknown identity"):
+            run_suite("thm99", RunConfig())
 
 
 class TestCrosscheckCommand:

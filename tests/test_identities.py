@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
 
 from catalan_ode import identities
-from catalan_ode.catalan import catalan_closed, higher_catalan
+from catalan_ode.catalan import catalan_asymptotic_ratio, catalan_closed, higher_catalan
 from catalan_ode.coefficients import (
     CoeffTable,
     a_closed_form,
@@ -310,6 +311,31 @@ class TestSumsBySplitting:
         terms = {name: cap for _, name, cap in UPPER_BOUNDS}[f"terms_{identity}"]
         assert SUMS[identity][0](terms)[2]
 
+    @pytest.mark.parametrize("identity,terms", [("eq59", 10000), ("eq62", 5000), ("eq62", 10000)])
+    def test_witness_past_the_int_str_limit(self, identity, terms, monkeypatch):
+        """With its constant moved by 1e-3 a sum fails, and the witness
+        spells out the whole partial sum, whose denominator has more digits
+        than int -> str accepts by default."""
+        constant = {"eq59": "SQRT2_40", "eq62": "LN2_36"}[identity]
+        moved = getattr(identities, constant) + Fraction(1, 1000)
+        monkeypatch.setattr(identities, constant, moved)
+        target = (4 * moved - 2) / 3 if identity == "eq59" else 1 - moved
+        sum_fn, sums = SUMS[identity][0], []
+        monkeypatch.setattr(identities, f"sum_{identity}",
+                            lambda t: sums.append(sum_fn(t)) or sums[-1])
+        report = report_eq59 if identity == "eq59" else report_eq62
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            rep = report(terms)
+            sys.set_int_max_str_digits(0)
+            partial = sums[0][0]
+            assert len(str(partial.denominator)) > 4300
+            assert not rep.passed
+            assert rep.witness == {"index": str(terms), "lhs": str(partial), "rhs": str(target)}
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestConvolutionRecurrences:
     def test_small_values_by_hand(self):
@@ -339,9 +365,11 @@ class TestAsymptotic:
         assert rep.passed and rep.parameters == {"n": 1000}
 
     def test_band_failure_reports_witness(self):
-        rep = verify_asymptotic(10, lo=0.999, hi=1.001)
+        # at n = 10 the ratio is about 0.898, below the band
+        rep = verify_asymptotic(10)
         assert not rep.passed
-        assert rep.witness is not None and "index" in rep.witness
+        assert rep.witness == {"index": "10", "lhs": str(catalan_asymptotic_ratio(10)),
+                               "rhs": "(0.99, 1.01)"}
 
 
 def _table_entries(forward, inverse, max_n):
