@@ -70,12 +70,12 @@ class AlgebraicElement:
 
     @staticmethod
     def half_power(e: int) -> "AlgebraicElement":
-        """s^e: even e gives (1-4t)^(e/2); odd e keeps one factor of s;
-        negative exponents go through the unit inverse."""
-        if e < 0:
-            return AlgebraicElement.half_power(-e).inverse()
+        """s^e = (1-4t)^q s^r with q, r = divmod(e, 2): (1-4t)^q in the
+        numerator for q >= 0 and in the denominator for q < 0, times s (in Q)
+        when r = 1."""
         q, r = divmod(e, 2)
-        return AlgebraicElement((), _u_power(q)) if r else AlgebraicElement(_u_power(q))
+        num, b = _u_power(max(q, 0)), max(-q, 0)
+        return AlgebraicElement((), num, 1, 0, b) if r else AlgebraicElement(num, (), 1, 0, b)
 
     def is_zero(self) -> bool:
         return not self.P and not self.Q

@@ -60,12 +60,12 @@ def higher_catalan(r: int, n: int) -> int:
     return q
 
 
-def catalan_asymptotic_ratio(n: int, digits: int = 40) -> Decimal:
+def catalan_asymptotic_ratio(n: int) -> Decimal:
     """C_n * n^(3/2) * sqrt(pi) / 4^n in high-precision decimal; tends to 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = getcontext().copy()
-    ctx.prec = max(digits, 40)
+    ctx.prec = 40
     sqrt_n = ctx.sqrt(Decimal(n))
     n_three_halves = ctx.multiply(ctx.multiply(sqrt_n, sqrt_n), sqrt_n)
     sqrt_pi = ctx.sqrt(PI_40)

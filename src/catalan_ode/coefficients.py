@@ -39,17 +39,11 @@ class CoeffTable:
             raise IndexError(f"index {i} outside row {n} of family {self.family}")
         return row[idx]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "rows": [
-                {"N": n + 1, "entries": [str(e) for e in row]}
-                for n, row in enumerate(self.rows)
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        rows = [{"N": n + 1, "entries": [str(e) for e in row]}
+                for n, row in enumerate(self.rows)]
+        return json.dumps({"family": self.family, "rows": rows},
+                          sort_keys=True, separators=(",", ":"))
 
 
 def a_table_recurrence(nmax: int) -> CoeffTable:

@@ -207,15 +207,16 @@ def verify_thm4(k: int, n_pow: int,
     return _report("thm4", {"k": k, "N": N}, "numeric", witness)
 
 
-def verify_inverse_delta(n_pow: int) -> VerificationReport:
+def verify_inverse_delta(n_pow: int, a_table: CoeffTable | None = None,
+                         b_table: CoeffTable | None = None) -> VerificationReport:
     """The 'inverse' relation between the two families:
     sum_i a_j(N-i) b_i(N) / N! = delta_{j,N} for every j in 1..N, checked
     as the integer equation sum_i a_j(N-i) b_i(N) = N! delta_{j,N}."""
     N = n_pow
     if N < 1:
         raise ValueError("N must be >= 1")
-    a_tab = a_table_recurrence(N)
-    b_tab = b_table_recurrence(N)
+    a_tab = a_table if a_table is not None else a_table_recurrence(N)
+    b_tab = b_table if b_table is not None else b_table_recurrence(N)
     nfact = factorial(N)
     for j in range(1, N + 1):
         total = sum(a_tab.entry(j, N - i) * b_tab.entry(i, N)

@@ -1,4 +1,5 @@
-"""Verification-suite assembly and report emission.
+"""Verification-suite assembly, report emission, and `BOUNDS`, the range of
+every integer CLI flag, with `check_bounds`, the one check that reads it.
 
 A job is plain data: an identity id and the argument tuple of its verifier,
 which `identities.VERIFIERS` names.  `run_suite` runs the jobs one after
@@ -19,29 +20,40 @@ from .identities import IDENTITY_IDS, VerificationReport
 
 JSON_SCHEMA_VERSION = "1"
 
-# (flag, RunConfig field, largest accepted value) of every `verify` bound;
-# the CLI builds these flags with RunConfig's defaults.  At these bounds the
-# slowest single checks (series thm1 at N = 40, K = 512; eq64/eq66 at 1000)
-# take seconds rather than hours; the eq59/eq62 sums at 10000 terms take
-# well under a second.
-UPPER_BOUNDS = (
-    ("--max-N", "max_n_deriv", 40),
-    ("--order", "series_order", 512),
-    ("--max-n", "max_index", 200),
-    ("--terms-eq59", "terms_eq59", 10000),
-    ("--terms-eq62", "terms_eq62", 10000),
-    ("--conv-max", "conv_max", 1000),
+# (subcommand, flag, argparse dest, smallest, largest accepted value) of
+# every integer flag of the CLI; `verify`'s dests are the RunConfig fields.
+# The CLI declares each flag from its row, `verify`'s with RunConfig's
+# defaults.  At the upper bounds each other subcommand takes about a second
+# and prints no number past Python's 4300-digit int -> str limit, and the
+# slowest single `verify` checks (series thm1 at N = 40, K = 512; eq64/eq66
+# at 1000) take seconds rather than hours.  --order's smallest value is the
+# smallest --max-N plus 8; RunConfig.validate relates the two.
+BOUNDS = (
+    ("catalan", "--max", "max", 0, 2500),
+    ("higher", "--r", "r", 1, 1000),
+    ("higher", "--max", "max", 0, 2000),
+    ("coeffs", "--max-N", "max_n", 1, 200),
+    ("crosscheck", "--max", "max", 0, 2500),
+    ("verify", "--max-N", "max_n_deriv", 1, 40),
+    ("verify", "--order", "series_order", 9, 512),
+    ("verify", "--max-n", "max_index", 1, 200),
+    ("verify", "--terms-eq59", "terms_eq59", 2, 10000),
+    ("verify", "--terms-eq62", "terms_eq62", 1, 10000),
+    ("verify", "--conv-max", "conv_max", 2, 1000),
 )
 
-# (subcommand, flag, argparse dest, largest accepted value) of the other
-# subcommands.  At these bounds each command takes about a second, and every
-# number it prints stays below Python's 4300-digit int -> str limit.
-COMMAND_BOUNDS = (
-    ("catalan", "--max", "max", 2500),
-    ("higher", "--r", "r", 1000),
-    ("higher", "--max", "max", 2000),
-    ("coeffs", "--max-N", "max_n", 200),
-)
+
+def check_bounds(command: str, values) -> None:
+    """Raise ValueError naming the first integer flag of `command` whose
+    value, the attribute of `values` named by its dest, is out of range."""
+    for cmd, flag, dest, lo, hi in BOUNDS:
+        if cmd != command:
+            continue
+        if getattr(values, dest) < lo:
+            raise ValueError(f"{flag} must be at least {lo}")
+        if getattr(values, dest) > hi:
+            raise ValueError(f"{flag} must be at most {hi}")
+
 
 # The number identities thm2/thm4 check rows N <= min(max_n_deriv, NUMBER_MAX_N).
 NUMBER_MAX_N = 6
@@ -57,20 +69,14 @@ class RunConfig:
     conv_max: int = 200       # n bound for the convolution recurrences
 
     def validate(self) -> None:
-        if self.max_n_deriv < 1 or self.max_index < 1 or self.conv_max < 2:
-            raise ValueError("all bounds must be >= 1 (conv bound >= 2)")
-        if self.terms_eq59 < 2 or self.terms_eq62 < 1:
-            raise ValueError("sum term counts too small")
+        check_bounds("verify", self)
         if self.series_order < self.max_n_deriv + 8:
             raise ValueError("series order K must be at least max N + 8")
-        for flag, name, cap in UPPER_BOUNDS:
-            if getattr(self, name) > cap:
-                raise ValueError(f"{flag} must be at most {cap}")
 
 
 def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     """(identity, verifier arguments) of every check of one identity, or of
-    all of them.  thm1-thm4 share the one a and b table built here."""
+    all of them.  thm1-thm4 and eq57 share the one a and b table built here."""
     if identity != "all" and identity not in ids.VERIFIERS:
         raise ValueError(f"unknown identity {identity!r}")
     a_tab = a_table_recurrence(cfg.max_n_deriv)
@@ -84,7 +90,7 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
         "thm2": [(n, N, a_tab) for N in number_rows for n in indices],
         "thm3": [(N, mode, cfg.series_order, b_tab) for N in rows for mode in modes],
         "thm4": [(k, N, b_tab) for N in number_rows for k in indices],
-        "eq57": [(N,) for N in rows],
+        "eq57": [(N, a_tab, b_tab) for N in rows],
         "eq58": [(cfg.series_order,)],
         "eq59": [(cfg.terms_eq59,)],
         "eq62": [(cfg.terms_eq62,)],

@@ -150,6 +150,8 @@ class TestAlgebraicElement:
         assert E.half_power(-1) == E((), (1,), 1, 0, 1)
         e3 = E.half_power(-1) ** 3
         assert E.half_power(-3) == e3
+        for e in range(-9, 10):
+            assert E.half_power(e) * E.half_power(-e) == ONE
 
     def test_is_zero(self):
         assert (S - S).is_zero()

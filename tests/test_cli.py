@@ -9,7 +9,7 @@ from catalan_ode.catalan import catalan_closed, higher_catalan
 from catalan_ode.cli import main
 from catalan_ode.identities import VerificationReport
 from catalan_ode.runner import (
-    COMMAND_BOUNDS,
+    BOUNDS,
     NUMBER_MAX_N,
     RunConfig,
     emit_report,
@@ -113,12 +113,7 @@ class TestVerifyCommand:
         ]
 
     @pytest.mark.parametrize("flag,name,cap", [
-        ("--max-N", "max_n_deriv", 40),
-        ("--order", "series_order", 512),
-        ("--max-n", "max_index", 200),
-        ("--terms-eq59", "terms_eq59", 10000),
-        ("--terms-eq62", "terms_eq62", 10000),
-        ("--conv-max", "conv_max", 1000),
+        (flag, dest, hi) for command, flag, dest, _, hi in BOUNDS if command == "verify"
     ])
     def test_upper_bound(self, flag, name, cap, capsys):
         RunConfig(**{name: cap}).validate()
@@ -139,7 +134,26 @@ class TestVerifyCommand:
 
 
 def _cap(command, flag):
-    return next(cap for c, f, _, cap in COMMAND_BOUNDS if (c, f) == (command, flag))
+    return next(hi for c, f, _, _, hi in BOUNDS if (c, f) == (command, flag))
+
+
+# each subcommand's argv, with "{}" in place of the value of one flag
+_ARGV = {
+    "catalan": ["catalan", "--max", "3"],
+    "higher": ["higher", "--r", "3", "--max", "3"],
+    "coeffs": ["coeffs", "--family", "b", "--max-N", "3"],
+    "crosscheck": ["crosscheck", "--bfile", str(FIXTURE), "--max", "3"],
+    "verify": ["verify", "--id", "eq57"],
+}
+
+
+def _argv(command, flag):
+    argv = list(_ARGV[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = "{}"
+    else:
+        argv += [flag, "{}"]
+    return argv
 
 
 class TestCommandBounds:
@@ -162,15 +176,19 @@ class TestCommandBounds:
         assert len(json.loads(capsys.readouterr().out)["rows"]) == cap
 
     @pytest.mark.parametrize("argv,flag", [
-        (["catalan", "--max", "{}"], "--max"),
-        (["higher", "--r", "{}", "--max", "3"], "--r"),
-        (["higher", "--r", "3", "--max", "{}"], "--max"),
-        (["coeffs", "--family", "b", "--max-N", "{}"], "--max-N"),
+        (_argv(command, flag), flag) for command, flag, *_ in BOUNDS if command != "verify"
     ])
     def test_above_bound_is_usage_error(self, argv, flag, capsys):
         cap = _cap(argv[0], flag)
         assert main([a.format(cap + 1) for a in argv]) == 2
         assert f"{flag} must be at most {cap}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag,lo", [
+        (_argv(command, flag), flag, lo) for command, flag, _, lo, _ in BOUNDS
+    ])
+    def test_below_bound_is_usage_error(self, argv, flag, lo, capsys):
+        assert main([a.format(lo - 1) for a in argv]) == 2
+        assert f"{flag} must be at least {lo}" in capsys.readouterr().err
 
 
 class TestRunSuite:
@@ -203,6 +221,22 @@ class TestCrosscheckCommand:
 
     def test_missing_file(self, capsys):
         assert main(["crosscheck", "--bfile", "/nonexistent", "--max", "5"]) == 2
+
+    def test_max_past_bound_is_usage_error(self, tmp_path, capsys):
+        """An index with a C_n past the int -> str limit is never computed."""
+        far = tmp_path / "far.txt"
+        far.write_text("0 1\n20000 5\n")
+        assert main(["crosscheck", "--bfile", str(far), "--max", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --max must be at most 2500" in err and "Traceback" not in err
+
+    def test_mismatch_at_bound(self, tmp_path, capsys):
+        cap = _cap("crosscheck", "--max")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{cap} {catalan_closed(cap) + 1}\n")
+        assert main(["crosscheck", "--bfile", str(bad), "--max", str(cap)]) == 1
+        out = capsys.readouterr().out
+        assert f"mismatch at index {cap}" in out and "checked 1 entries, 1 mismatches" in out
 
 
 class TestEmitReport:

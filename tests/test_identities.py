@@ -33,7 +33,7 @@ from catalan_ode.identities import (
     verify_thm3,
     verify_thm4,
 )
-from catalan_ode.runner import UPPER_BOUNDS
+from catalan_ode.runner import BOUNDS
 from catalan_ode.series import Series, sqrt_one_plus_series
 
 
@@ -119,18 +119,16 @@ class TestInverseDelta:
         [("a", 6 - k, j) for k in range(4) for j in range(1, 7 - k)]
         + [("b", 6, k) for k in range(4)],
     )
-    def test_forced_mismatch(self, family, row, entry, monkeypatch):
+    def test_forced_mismatch(self, family, row, entry):
         """Every a-entry that eq57 reads at N = 6, and b-entries 0..3 of row
         6, shifted by +1, make it fail at the first j where the plain
         rational sums disagree: j = entry for an a-entry, 1 for a b-entry."""
         a_tab, b_tab = a_table_recurrence(6), b_table_recurrence(6)
         if family == "a":
             a_tab = _shifted(a_tab, row, entry)
-            monkeypatch.setattr(identities, "a_table_recurrence", lambda n: a_tab)
         else:
             b_tab = _shifted(b_tab, row, entry)
-            monkeypatch.setattr(identities, "b_table_recurrence", lambda n: b_tab)
-        rep = verify_inverse_delta(6)
+        rep = verify_inverse_delta(6, a_tab, b_tab)
         rows = ((j, sum(Fraction(a_tab.entry(j, 6 - k) * b_tab.entry(k, 6), factorial(6))
                         for k in range(min(6 - j, 3) + 1)), int(j == 6))
                 for j in range(1, 7))
@@ -308,7 +306,7 @@ class TestSumsBySplitting:
 
     @pytest.mark.parametrize("identity", SUMS)
     def test_upper_bound(self, identity):
-        terms = {name: cap for _, name, cap in UPPER_BOUNDS}[f"terms_{identity}"]
+        terms = next(hi for _, _, dest, _, hi in BOUNDS if dest == f"terms_{identity}")
         assert SUMS[identity][0](terms)[2]
 
     @pytest.mark.parametrize("identity,terms", [("eq59", 10000), ("eq62", 5000), ("eq62", 10000)])
