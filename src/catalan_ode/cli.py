@@ -24,6 +24,7 @@ from .catalan import catalan_closed, higher_catalan
 from .coefficients import a_table_recurrence, b_table_recurrence
 from .identities import IDENTITY_IDS
 from .runner import BOUNDS, RunConfig, check_bounds, emit_report, run_suite
+from .series import catalan_series
 
 
 def _usage_error(exc: Exception) -> int:
@@ -32,7 +33,7 @@ def _usage_error(exc: Exception) -> int:
 
 
 def _cmd_catalan(args) -> int:
-    print(",".join(str(catalan_closed(n)) for n in range(args.max + 1)))
+    print(",".join(map(str, catalan_series(args.max).num)))
     return 0
 
 
@@ -50,7 +51,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     try:
-        cfg.validate()
+        cfg.validate(args.identity)
     except ValueError as exc:
         return _usage_error(exc)
     reports = run_suite(args.identity, cfg)

@@ -7,12 +7,14 @@ convolution recurrences.
 Every check is exact arithmetic end to end.  The number identities thm2
 and thm4 are integer equations between the t^n coefficients of both sides
 of thm1 and thm3, with the (1-4t)^alpha factors taken from
-`binomial_power_series`; eq57 and the eq64/eq66 convolutions are integer
-sums over one common denominator; the eq59/eq62 sums are evaluated by exact
-binary splitting, as one integer fraction T / (B Q).  Each builds a
-`Fraction` only once per check, for the comparison or the witness.  The only
-inexactness anywhere is the final comparison of the two numeric sums
-against hardcoded >= 30-digit decimal enclosures of sqrt(2) and ln 2.
+`binomial_power_series`; eq57 is an integer sum; the eq64/eq66 convolutions
+are integer sums too, since each weight C_m (m+1)/(2m-1) is the integer
+2 C_{m-1} (-1 at m = 0), and they carry a denominator only where an input
+is wrong; the eq59/eq62 sums are evaluated by exact binary splitting, as
+one integer fraction T / (B Q).  Each builds a `Fraction` only once per
+check, for the comparison or the witness.  The only inexactness anywhere
+is the final comparison of the two numeric sums against hardcoded
+>= 30-digit decimal enclosures of sqrt(2) and ln 2.
 
 thm1 and thm3 each have one body for both mechanisms: `_mechanism` supplies
 C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm, perm
+from math import comb, factorial, gcd, isqrt, lcm, perm
 
 from .algebraic import AlgebraicElement
 from .catalan import (
@@ -340,15 +342,23 @@ def report_eq62(terms: int) -> VerificationReport:
 def _conv_inputs(nmax: int) -> list[int]:
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
-    return [catalan_closed(n) for n in range(nmax + 1)]
+    return list(catalan_series(nmax).num)
 
 
 def _conv_weights(cs: list[int]) -> tuple[int, list[int]]:
-    """(L, u) with L = lcm(1, 3, .., 2 nmax - 1) and u_m = C_m (m+1) L/(2m-1),
-    so that sum_m C_m C_{n-m} (m+1)/(2m-1) over any range of m is the
-    integer sum of u_m C_{n-m} over L."""
-    den = lcm(*range(1, 2 * len(cs) - 2, 2))
-    return den, [c * (m + 1) * (den // (2 * m - 1)) for m, c in enumerate(cs)]
+    """(L, u) with u_m / L = C_m (m+1)/(2m-1) for every m, so that
+    sum_m C_m C_{n-m} (m+1)/(2m-1) over any range of m is the integer sum
+    of u_m C_{n-m} over L.  L is the lcm of the weights' reduced
+    denominators only: sqrt(1-4t) = 1 - 2t C(t) makes every weight of the
+    true Catalan numbers an integer, u = [-1, 2C_0, 2C_1, ..] and L = 1, so
+    L > 1 only where an input is wrong."""
+    reduced = []
+    for m, c in enumerate(cs):
+        # lcm is nonnegative, so the m = 0 denominator -1 flips u_0's sign
+        g = gcd(c * (m + 1), 2 * m - 1)
+        reduced.append((c * (m + 1) // g, (2 * m - 1) // g))
+    den = lcm(*(d for _, d in reduced))
+    return den, [n * (den // d) for n, d in reduced]
 
 
 def verify_eq64(nmax: int) -> VerificationReport:

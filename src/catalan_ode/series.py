@@ -13,7 +13,7 @@ records that on the result; differentiation shrinks the order by one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .exact import RationalLike
 
@@ -137,9 +137,16 @@ def first_mismatch(a: Series, b: Series):
 
 
 def catalan_series(order: int) -> Series:
-    """Sum of C_n t^n to the given truncation order, each C_n from the
-    closed binomial form."""
-    return Series([comb(2 * n, n) // (n + 1) for n in range(order + 1)])
+    """Sum of C_n t^n to the given truncation order, from C_0 = 1 and the
+    exact ratio C_{n+1} = C_n 2(2n+1)/(n+2), in O(order) big-int steps; a
+    step that leaves a remainder raises ArithmeticError."""
+    cs = [1]
+    for n in range(order):
+        c, r = divmod(cs[-1] * 2 * (2 * n + 1), n + 2)
+        if r:
+            raise ArithmeticError("Catalan ratio step not integral")
+        cs.append(c)
+    return Series(cs)
 
 
 def binomial_power_series(alpha: RationalLike, order: int) -> Series:

@@ -99,6 +99,15 @@ class TestVerifyCommand:
     def test_order_constraint(self, capsys):
         assert main(["verify", "--id", "thm1", "--max-N", "8", "--order", "12"]) == 2
 
+    @pytest.mark.parametrize("identity,code", [
+        ("thm3", 2), ("all", 2), ("eq58", 0), ("asymptotic", 0),
+    ])
+    def test_order_constraint_binds_thm1_thm3_only(self, identity, code, capsys):
+        """order >= max-N + 8 is required only where thm1 or thm3 runs, the
+        checks that read both; eq58 and asymptotic do not read max-N."""
+        assert main(["verify", "--id", identity, "--order", "12"]) == code
+        assert ("series order K must be at least max N + 8" in capsys.readouterr().err) == bool(code)
+
     def test_unknown_identity_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--id", "thm99"])

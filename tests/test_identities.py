@@ -356,6 +356,20 @@ class TestConvolutionRecurrences:
             with pytest.raises(ValueError):
                 verify(1)
 
+    def test_weights_of_true_catalan_are_integers(self):
+        """sqrt(1-4t) = 1 - 2t C(t) makes C_m (m+1)/(2m-1) the integer
+        2 C_{m-1} for m >= 1 and -1 at m = 0, so the common denominator is 1."""
+        cs = identities._conv_inputs(1000)
+        assert cs == [catalan_closed(n) for n in range(1001)]
+        den, u = identities._conv_weights(cs)
+        assert den == 1 and u[0] == -1
+        assert all(u[m] == 2 * cs[m - 1] for m in range(1, 1001))
+
+    @pytest.mark.parametrize("identity", ["eq64", "eq66"])
+    def test_upper_bound(self, identity):
+        nmax = next(hi for _, _, dest, _, hi in BOUNDS if dest == "conv_max")
+        assert getattr(identities, f"verify_{identity}")(nmax).passed
+
 
 class TestAsymptotic:
     def test_default(self):
@@ -368,6 +382,23 @@ class TestAsymptotic:
         assert not rep.passed
         assert rep.witness == {"index": "10", "lhs": str(catalan_asymptotic_ratio(10)),
                                "rhs": "(0.99, 1.01)"}
+
+
+def _first_convolution_mismatch(identity, cs):
+    """First (n, lhs, rhs) at which the plain rational sums of eq64 / eq66
+    over the inputs cs disagree, or None."""
+    nmax = len(cs) - 1
+
+    def conv(n, ms):
+        return sum(Fraction(cs[m] * cs[n - m] * (m + 1), 2 * m - 1) for m in ms)
+
+    if identity == "eq64":
+        rows = ((n, cs[n] - conv(n, range(n + 1)), 2 if n == 0 else 0)
+                for n in range(nmax + 1))
+    else:
+        rows = ((n, Fraction(2 * n - 1, 3 * (n - 1)) * conv(n, range(1, n)), cs[n])
+                for n in range(2, nmax + 1))
+    return next((row for row in rows if row[1] != row[2]), None)
 
 
 def _table_entries(forward, inverse, max_n):
@@ -439,21 +470,30 @@ class TestFailureWitness:
         cs = [catalan_closed(n) for n in range(11)]
         cs[j] += 1
         monkeypatch.setattr(identities, "_conv_inputs", lambda nmax: list(cs))
-
-        def conv(n, ms):
-            return sum(Fraction(cs[m] * cs[n - m] * (m + 1), 2 * m - 1) for m in ms)
-
-        if identity == "eq64":
-            rep = verify_eq64(10)
-            rows = ((n, cs[n] - conv(n, range(n + 1)), 2 if n == 0 else 0)
-                    for n in range(11))
-        else:
-            rep = verify_eq66(10)
-            rows = ((n, Fraction(2 * n - 1, 3 * (n - 1)) * conv(n, range(1, n)), cs[n])
-                    for n in range(2, 11))
-        n, lhs, rhs = next(row for row in rows if row[1] != row[2])
+        rep = getattr(identities, f"verify_{identity}")(10)
+        n, lhs, rhs = _first_convolution_mismatch(identity, cs)
         assert not rep.passed
         assert rep.witness == {"index": str(n), "lhs": str(lhs), "rhs": str(rhs)}
+
+    @pytest.mark.parametrize("shift", [1, -3])
+    @pytest.mark.parametrize("identity", ["eq64", "eq66"])
+    def test_forced_convolution_mismatch_sweep(self, identity, shift, monkeypatch):
+        """Every C_j that eq64 / eq66 reads at nmax 60, shifted by +1 or -3,
+        fails at the first n where the plain rational sums disagree.  Most
+        shifted weights C_j (j+1)/(2j-1) are not integers, so these
+        convolutions run over a common denominator L > 1."""
+        verify = getattr(identities, f"verify_{identity}")
+        dens = set()
+        for j in range(identity == "eq66", 61):
+            cs = [catalan_closed(n) for n in range(61)]
+            cs[j] += shift
+            monkeypatch.setattr(identities, "_conv_inputs", lambda nmax, cs=cs: list(cs))
+            rep = verify(60)
+            n, lhs, rhs = _first_convolution_mismatch(identity, cs)
+            assert not rep.passed, j
+            assert rep.witness == {"index": str(n), "lhs": str(lhs), "rhs": str(rhs)}, j
+            dens.add(identities._conv_weights(cs)[0])
+        assert max(dens) > 1
 
     def test_series_witness_on_forced_mismatch(self):
         bad = CoeffTable("a", ((2,),))  # a_1(1) should be 1

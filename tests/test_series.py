@@ -1,5 +1,8 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -155,6 +158,28 @@ def test_catalan_coefficients_match_closed_form():
     c = catalan_series(100)
     for n in range(101):
         assert c.coeff(n) == catalan_closed(n)
+
+
+def test_ratio_check_survives_optimize_flag():
+    # A ratio step patched off by one leaves a remainder; the explicit
+    # check must raise with and without python -O, where an assert would
+    # vanish and the list would be silently floor-divided.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import catalan_ode.series as ser\n"
+        "ser.divmod = lambda a, b: divmod(a + 1, b)\n"
+        "try:\n"
+        "    ser.catalan_series(4)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code],
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "raised"
 
 
 def test_first_mismatch():
