@@ -4,7 +4,6 @@ from .algebraic import AlgebraicElement
 from .catalan import (
     catalan_asymptotic_ratio,
     catalan_closed,
-    catalan_product,
     catalan_recurrence,
     higher_catalan,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "binomial_power_series",
     "catalan_asymptotic_ratio",
     "catalan_closed",
-    "catalan_product",
     "catalan_recurrence",
     "catalan_series",
     "double_factorial_odd",

@@ -60,10 +60,6 @@ class AlgebraicElement:
         return AlgebraicElement((c.numerator,), (), c.denominator)
 
     @staticmethod
-    def sqrt_one_minus_4t() -> "AlgebraicElement":
-        return AlgebraicElement((), (1,))
-
-    @staticmethod
     def catalan() -> "AlgebraicElement":
         """The Catalan generating function 2/(1+s), in normal form (1-s)/(2t)."""
         return AlgebraicElement((1,), (-1,), 2, 1)
@@ -119,38 +115,20 @@ class AlgebraicElement:
 
     def __pow__(self, r: int) -> "AlgebraicElement":
         if r < 0:
-            return (self ** (-r)).inverse()
+            raise ValueError("negative powers are not defined on the ring")
         out = AlgebraicElement.from_rational(1)
         for _ in range(r):
             out = out * self
         return out
 
-    def _norm(self) -> tuple[int, list[int]]:
-        """(i, n) with P^2 - Q^2 (1-4t) = t^i n and n(0) != 0.  The norm is
-        (P + Qs)(P - Qs), nonzero for a nonzero element."""
-        norm = _add(_mul(self.P, self.P), [-c for c in _mul(_mul(self.Q, self.Q), (1, -4))])
-        i = next(k for k, c in enumerate(norm) if c)
-        return i, norm[i:]
-
     def valuation_bound(self) -> int:
         """An upper bound on the index of the first nonzero Taylor coefficient
-        of a nonzero element: i - a, since P - Qs has valuation >= 0."""
+        of a nonzero element: i - a, where t^i is the lowest power in the norm
+        (P + Qs)(P - Qs) = P^2 - Q^2 (1-4t), since P - Qs has valuation >= 0."""
         if self.is_zero():
             raise ValueError("zero has no valuation")
-        return self._norm()[0] - self.a
-
-    def inverse(self) -> "AlgebraicElement":
-        """The inverse of a unit, an element whose norm is c t^i (1-4t)^j."""
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero")
-        (i, norm), j = self._norm(), 0
-        while (quot := _div_u(norm)) is not None:
-            norm, j = quot, j + 1
-        if len(norm) != 1:
-            raise ValueError("element is not a unit of the ring")
-        c = norm[0]
-        f = [0] * self.a + [self.d * (1 if c > 0 else -1) * x for x in _u_power(self.b)]
-        return AlgebraicElement(_mul(self.P, f), _mul([-x for x in self.Q], f), abs(c), i, j)
+        norm = _add(_mul(self.P, self.P), [-c for c in _mul(_mul(self.Q, self.Q), (1, -4))])
+        return next(k for k, c in enumerate(norm) if c) - self.a
 
     def derivative(self) -> "AlgebraicElement":
         # Over d t^(a+1) u^(b+1), with s' = -2s/u and

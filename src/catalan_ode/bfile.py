@@ -1,8 +1,10 @@
 """Parser for the plain-text b-file sequence format: one "<index> <value>"
 pair per line, '#' comments and blank lines ignored, indices strictly
-increasing."""
+increasing.  Errors echo at most 60 characters of the offending line."""
 from __future__ import annotations
 
+import re
+import sys
 from typing import NamedTuple
 
 
@@ -19,11 +21,15 @@ def parse_bfile(content: str) -> list[BFileEntry]:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected '<index> <value>', got {raw!r:.60}")
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+            problem = "non-integer field"
+            # int() rejects a field of plain decimal digits only past Python's limit
+            if all(re.fullmatch(r"[+-]?\d+", f) for f in fields):
+                problem = f"integer field over the {sys.get_int_max_str_digits()}-digit limit"
+            raise ValueError(f"line {lineno}: {problem} in {raw!r:.60}") from None
         if entries and index <= entries[-1].index:
             raise ValueError(f"line {lineno}: index {index} not increasing")
         entries.append(BFileEntry(index, value))

@@ -1,10 +1,9 @@
 """Catalan and higher-order Catalan numbers by independent routes: C_n by
-closed form, product formula and convolution recurrence, C_n^(r) by its
-closed form (the tests compare it with powers of the Catalan series)."""
+closed form and convolution recurrence, C_n^(r) by its closed form (the
+tests compare it with powers of the Catalan series)."""
 from __future__ import annotations
 
 from decimal import Decimal, getcontext
-from fractions import Fraction
 from math import comb
 
 # 40 significant digits; plenty for the asymptotic-ratio sanity check.
@@ -20,19 +19,6 @@ def catalan_closed(n: int) -> int:
     if r:
         raise ArithmeticError("Catalan divisibility violated")
     return q
-
-
-def catalan_product(n: int) -> int:
-    """C_n via the product of (n+k)/k for k = 2..n, kept exact-rational
-    throughout and checked integral at the end."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = Fraction(1)
-    for k in range(2, n + 1):
-        out *= Fraction(n + k, k)
-    if out.denominator != 1:
-        raise ArithmeticError("Catalan product formula not integral")
-    return out.numerator
 
 
 def catalan_recurrence(nmax: int) -> list[int]:

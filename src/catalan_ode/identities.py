@@ -12,9 +12,9 @@ are integer sums too, since each weight C_m (m+1)/(2m-1) is the integer
 2 C_{m-1} (-1 at m = 0), and they carry a denominator only where an input
 is wrong; the eq59/eq62 sums are evaluated by exact binary splitting, as
 one integer fraction T / (B Q).  Each builds a `Fraction` only once per
-check, for the comparison or the witness.  The only inexactness anywhere
-is the final comparison of the two numeric sums against hardcoded
->= 30-digit decimal enclosures of sqrt(2) and ln 2.
+check, for the comparison or the witness.  The only inexact steps are the
+comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to 40,
+and of the 40-digit `Decimal` asymptotic ratio with the band (0.99, 1.01).
 
 thm1 and thm3 each have one body for both mechanisms: `_mechanism` supplies
 C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring

@@ -8,7 +8,6 @@ import pytest
 from catalan_ode.catalan import (
     catalan_asymptotic_ratio,
     catalan_closed,
-    catalan_product,
     catalan_recurrence,
     higher_catalan,
 )
@@ -36,11 +35,6 @@ def test_three_routes_agree():
     gen = catalan_series(200)
     for n in range(201):
         assert seq[n] == catalan_closed(n) == gen.coeff(n)
-
-
-def test_product_formula():
-    for n in range(201):
-        assert catalan_product(n) == catalan_closed(n)
 
 
 def test_higher_order_one_is_catalan():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from catalan_ode.runner import (
     run_suite,
 )
 
-FIXTURE = Path(__file__).resolve().parent.parent / "data" / "catalan_b000108.txt"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "data" / "catalan_b000108.txt"
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 # `verify --id all --format json` flag sets whose stdout is committed as
@@ -40,7 +44,7 @@ class TestBFileParser:
         assert [(e.index, e.value) for e in entries] == [(5, 42)]
 
     def test_malformed_value(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2: non-integer field"):
             parse_bfile("# comment\n3 five")
 
     def test_malformed_shape(self):
@@ -141,6 +145,18 @@ class TestVerifyCommand:
         golden = (GOLDEN / f"verify_{name}.json").read_bytes()
         assert capsys.readouterr().out.encode() == golden
 
+    def test_json_matches_golden_under_optimize_flag(self):
+        """python -O strips asserts; the checks must not rely on them."""
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "catalan_ode.cli", "verify", "--id", "all",
+             "--format", "json"],
+            capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0
+        assert out.stdout == (GOLDEN / "verify_suite_default.json").read_bytes()
+
 
 def _cap(command, flag):
     return next(hi for c, f, _, _, hi in BOUNDS if (c, f) == (command, flag))
@@ -230,6 +246,17 @@ class TestCrosscheckCommand:
 
     def test_missing_file(self, capsys):
         assert main(["crosscheck", "--bfile", "/nonexistent", "--max", "5"]) == 2
+
+    def test_value_past_digit_limit_is_usage_error(self, tmp_path, capsys):
+        """A well-formed value too long for int() is reported as such, and
+        the 5,002-character line is not echoed in full."""
+        long = tmp_path / "long.txt"
+        long.write_text("5 " + "9" * 5000 + "\n")
+        assert main(["crosscheck", "--bfile", str(long), "--max", "10"]) == 2
+        err = capsys.readouterr().err
+        limit = sys.get_int_max_str_digits()
+        assert f"line 1: integer field over the {limit}-digit limit" in err
+        assert "non-integer" not in err and len(err) < 200
 
     def test_max_past_bound_is_usage_error(self, tmp_path, capsys):
         """An index with a C_n past the int -> str limit is never computed."""
