@@ -33,9 +33,9 @@ from .identities import (
 from .runner import RunConfig, emit_report, run_suite
 from .series import (
     Series,
-    binomial_power_series,
     catalan_series,
     first_mismatch,
+    half_power_coeffs,
     sqrt_one_plus_series,
 )
 
@@ -50,7 +50,6 @@ __all__ = [
     "b_closed_form",
     "b_table_recurrence",
     "binomial_general",
-    "binomial_power_series",
     "catalan_asymptotic_ratio",
     "catalan_closed",
     "catalan_recurrence",
@@ -59,6 +58,7 @@ __all__ = [
     "emit_report",
     "eq62_tail_enclosure",
     "first_mismatch",
+    "half_power_coeffs",
     "higher_catalan",
     "run_suite",
     "s_number",

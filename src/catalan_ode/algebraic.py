@@ -15,9 +15,9 @@ P == Q == 0 and equality is structural; no polynomial gcd is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
-from .series import Series, _add, _mul, _trim, binomial_power_series
+from .series import Series, _add, _mul, _trim, half_power_coeffs
 
 
 def _div_u(p) -> list[int] | None:
@@ -27,10 +27,6 @@ def _div_u(p) -> list[int] | None:
         carry = c + 4 * carry
         quot.append(carry)
     return quot if not p or p[-1] == -4 * carry else None
-
-
-def _u_power(k: int) -> list[int]:
-    return [comb(k, m) * (-4) ** m for m in range(k + 1)]
 
 
 class AlgebraicElement:
@@ -70,7 +66,7 @@ class AlgebraicElement:
         numerator for q >= 0 and in the denominator for q < 0, times s (in Q)
         when r = 1."""
         q, r = divmod(e, 2)
-        num, b = _u_power(max(q, 0)), max(-q, 0)
+        num, b = half_power_coeffs(2 * max(q, 0), max(q, 0)), max(-q, 0)
         return AlgebraicElement((), num, 1, 0, b) if r else AlgebraicElement(num, (), 1, 0, b)
 
     def is_zero(self) -> bool:
@@ -87,7 +83,8 @@ class AlgebraicElement:
 
     def _lift(self, d: int, a: int, b: int):
         """P and Q over the larger denominator d * t^a * u^b."""
-        f = [0] * (a - self.a) + [d // self.d * c for c in _u_power(b - self.b)]
+        j = b - self.b
+        f = [0] * (a - self.a) + [d // self.d * c for c in half_power_coeffs(2 * j, j)]
         return _mul(self.P, f), _mul(self.Q, f)
 
     def __add__(self, other: "AlgebraicElement") -> "AlgebraicElement":
@@ -153,9 +150,9 @@ class AlgebraicElement:
         n = order + self.a + 1
         num = list(self.P[:n])
         if self.Q:
-            num = _add(num, _mul(self.Q, binomial_power_series(Fraction(1, 2), n - 1).num, n))
+            num = _add(num, _mul(self.Q, half_power_coeffs(1, n - 1), n))
         if self.b:
-            num = _mul(num, binomial_power_series(-self.b, n - 1).num, n)
+            num = _mul(num, half_power_coeffs(-2 * self.b, n - 1), n)
         num += [0] * (n - len(num))
         if any(num[: self.a]):
             raise ValueError("element not regular at origin")

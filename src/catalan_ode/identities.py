@@ -6,8 +6,8 @@ convolution recurrences.
 
 Every check is exact arithmetic end to end.  The number identities thm2
 and thm4 are integer equations between the t^n coefficients of both sides
-of thm1 and thm3, with the (1-4t)^alpha factors taken from
-`binomial_power_series`; eq57 is an integer sum; the eq64/eq66 convolutions
+of thm1 and thm3, with the (1-4t)^(e/2) factors taken from
+`half_power_coeffs`; eq57 is an integer sum; the eq64/eq66 convolutions
 are integer sums too, since each weight C_m (m+1)/(2m-1) is the integer
 2 C_{m-1} (-1 at m = 0), and they carry a denominator only where an input
 is wrong; the eq59/eq62 sums are evaluated by exact binary splitting, as
@@ -37,10 +37,11 @@ from .catalan import (
 )
 from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
 from .series import (
+    Series,
     _mul,
-    binomial_power_series,
     catalan_series,
     first_mismatch,
+    half_power_coeffs,
     sqrt_one_plus_series,
 )
 
@@ -116,7 +117,7 @@ def _mechanism(N: int, mode: str, order: int):
         if order < N + 8:
             raise ValueError("series order must be at least N + 8")
         return (catalan_series(order),
-                lambda e: binomial_power_series(Fraction(e, 2), order),
+                lambda e: Series(half_power_coeffs(e, order)),
                 {"N": N, "K": order})
     if mode == "symbolic":
         return AlgebraicElement.catalan(), AlgebraicElement.half_power, {"N": N}
@@ -136,19 +137,21 @@ def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
-    a_i(N) (1-4t)^(-(2N-i)/2) C^(i+1), in series or symbolic mode."""
+    a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
+    the sum is taken as s^(-2N) sum_i a_i(N) (sC)^i C."""
     N = n_deriv
     cat, half_power, params = _mechanism(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
     lhs = cat
     for _ in range(N):
         lhs = lhs.derivative()
+    sc = half_power(1) * cat
     terms = []
-    cat_pow = cat
+    term = cat
     for i in range(1, N + 1):
-        cat_pow = cat_pow * cat
-        terms.append(table.entry(i, N) * (half_power(i - 2 * N) * cat_pow))
-    return _compare("thm1", params, mode, lhs, sum(terms[1:], terms[0]))
+        term = term * sc
+        terms.append(table.entry(i, N) * term)
+    return _compare("thm1", params, mode, lhs, half_power(-2 * N) * sum(terms[1:], terms[0]))
 
 
 def verify_thm2(n: int, n_deriv: int,
@@ -162,7 +165,7 @@ def verify_thm2(n: int, n_deriv: int,
     table = a_table if a_table is not None else a_table_recurrence(N)
     total = 0
     for i in range(1, N + 1):
-        power = binomial_power_series(Fraction(-(2 * N - i), 2), n).num
+        power = half_power_coeffs(i - 2 * N, n)
         total += table.entry(i, N) * sum(
             c * higher_catalan(i + 1, n - m) for m, c in enumerate(power)
         )
@@ -174,7 +177,9 @@ def verify_thm2(n: int, n_deriv: int,
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None) -> VerificationReport:
-    """N! C^(N+1) versus the sum of b_i(N) (1-4t)^(N/2-i) C^((N-i))."""
+    """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), taken as
+    s^(N mod 2) sum_i b_i(N) (1-4t)^(N//2-i) C^((N-i)), where each (1-4t)
+    power is a polynomial and the left operand of its product."""
     N = n_pow
     cat, half_power, params = _mechanism(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
@@ -182,9 +187,9 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     derivs = [cat]
     for _ in range(N):
         derivs.append(derivs[-1].derivative())
-    terms = [table.entry(i, N) * (half_power(N - 2 * i) * derivs[N - i])
+    terms = [table.entry(i, N) * (half_power(2 * (N // 2 - i)) * derivs[N - i])
              for i in range(0, N // 2 + 1)]
-    return _compare("thm3", params, mode, lhs, sum(terms[1:], terms[0]))
+    return _compare("thm3", params, mode, lhs, half_power(N % 2) * sum(terms[1:], terms[0]))
 
 
 def verify_thm4(k: int, n_pow: int,
@@ -198,7 +203,7 @@ def verify_thm4(k: int, n_pow: int,
     table = b_table if b_table is not None else b_table_recurrence(N)
     total = 0
     for i in range(0, N // 2 + 1):
-        power = binomial_power_series(Fraction(N - 2 * i, 2), k).num
+        power = half_power_coeffs(N - 2 * i, k)
         total += table.entry(i, N) * sum(
             power[k - m] * perm(m + N - i, N - i) * catalan_closed(m + N - i)
             for m in range(k + 1)

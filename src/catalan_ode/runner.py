@@ -26,7 +26,8 @@ JSON_SCHEMA_VERSION = "1"
 # defaults.  At the upper bounds each other subcommand takes under a second
 # and prints no number past Python's 4300-digit int -> str limit, and the
 # slowest single `verify` checks take seconds rather than hours: series thm1
-# at N = 40, K = 512 about 5 s, eq64 and eq66 at 1000 about 0.5 s each.
+# and thm3 at N = 40, K = 512 about 2.5 s each, eq64 and eq66 at 1000 about
+# 0.5 s each (CPython 3.11, one core of a 2-vCPU VM).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (

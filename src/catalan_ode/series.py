@@ -3,6 +3,8 @@
 `_trim`, `_add` and `_mul` are the one polynomial kernel of the package:
 lists of Python ints, lowest degree first.  The ring in `algebraic` uses
 them for its numerators, and :class:`Series` for its coefficients.
+`half_power_coeffs` gives the integer coefficients of every power of
+s = sqrt(1-4t) that the package uses.
 
 A :class:`Series` stores integer numerators c_0..c_K over one positive
 denominator d, in lowest terms (gcd(d, c_0, ..., c_K) = 1), so equality is
@@ -136,51 +138,28 @@ def first_mismatch(a: Series, b: Series):
     return None
 
 
-def catalan_series(order: int) -> Series:
-    """Sum of C_n t^n to the given truncation order, from C_0 = 1 and the
-    exact ratio C_{n+1} = C_n 2(2n+1)/(n+2), in O(order) big-int steps; a
-    step that leaves a remainder raises ArithmeticError."""
+def half_power_coeffs(e: int, order: int) -> list[int]:
+    """[t^m] s^e for m = 0..order, s = sqrt(1-4t): the integers
+    c_m = binom(e/2, m) (-4)^m, from c_0 = 1 and the exact ratio
+    c_{m+1} = c_m 2(2m - e)/(m + 1); a step that leaves a remainder raises
+    ArithmeticError.  For e = 2k >= 0 the list is zero past index k."""
     cs = [1]
-    for n in range(order):
-        c, r = divmod(cs[-1] * 2 * (2 * n + 1), n + 2)
+    for m in range(order):
+        c, r = divmod(cs[-1] * 2 * (2 * m - e), m + 1)
         if r:
-            raise ArithmeticError("Catalan ratio step not integral")
+            raise ArithmeticError("half-power ratio step not integral")
         cs.append(c)
-    return Series(cs)
+    return cs
 
 
-def binomial_power_series(alpha: RationalLike, order: int) -> Series:
-    """(1-4t)^alpha as a truncated series: coefficient of t^m is
-    c_m = (alpha choose m) * (-4)^m, from c_0 = 1 and the ratio
-    c_{m+1} / c_m = 4 (m - alpha) / (m + 1).  Each c_m is kept as a reduced
-    pair of integers; for integer and half-integer alpha every c_m is an
-    integer and the series has denominator 1."""
-    p, q = alpha.numerator, alpha.denominator
-    terms, n, e = [], 1, 1
-    for m in range(order + 1):
-        terms.append((n, e))
-        n, e = n * 4 * (m * q - p), e * q * (m + 1)
-        g = gcd(n, e)
-        n, e = n // g, e // g
-    den = lcm(*(e for _, e in terms))
-    return Series([n * (den // e) for n, e in terms], den)
-
-
-def _central_binomials(k: int):
-    """(n, binom(2n,n) 4^(k-n)) for n = 0..k, one at a time, from the exact
-    integer ratio (2n+1)/(2n+2) between consecutive values."""
-    r = 4**k
-    for n in range(k + 1):
-        yield n, r
-        r = r * (2 * n + 1) // (2 * n + 2)
+def catalan_series(order: int) -> Series:
+    """Sum of C_n t^n to the given truncation order, read off s = 1 - 2tC
+    as C_n = -[t^(n+1)] s / 2."""
+    return Series([-c // 2 for c in half_power_coeffs(1, order + 1)[1:]])
 
 
 def sqrt_one_plus_series(order: int) -> Series:
-    """sqrt(1+y) as a series in y: coefficient of y^n is
-    binom(2n,n) * (-1)^(n-1) / (4^n (2n-1)); the n=0 term is 1.  The
-    numerators are built over the one denominator 4^K lcm(1, 3, .., 2K-1)."""
-    odd_lcm = lcm(*range(1, 2 * order, 2))
-    return Series(
-        [(r if n % 2 else -r) * (odd_lcm // (2 * n - 1)) for n, r in _central_binomials(order)],
-        4**order * odd_lcm,
-    )
+    """sqrt(1+y) as a series in y: the coefficient of y^n is
+    binom(1/2, n) = (-1)^n [t^n] s / 4^n, built over the one denominator 4^K."""
+    return Series([c * (-1) ** n * 4 ** (order - n)
+                   for n, c in enumerate(half_power_coeffs(1, order))], 4**order)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_ode.algebraic import AlgebraicElement
-from catalan_ode.series import Series, binomial_power_series, catalan_series, first_mismatch
+from catalan_ode.series import Series, catalan_series, first_mismatch, half_power_coeffs
 
 E = AlgebraicElement
 ONE = E.from_rational(1)
@@ -211,7 +211,7 @@ class TestToSeries:
         assert E.catalan().to_series(3) == Series([1, 1, 2, 5])
 
     def test_s_expansion(self):
-        assert S.to_series(2) == binomial_power_series(Fraction(1, 2), 2)
+        assert S.to_series(2) == Series(half_power_coeffs(1, 2))
 
     def test_geometric_expansion(self):
         assert E.half_power(-2).to_series(2) == Series([1, 4, 16])

@@ -409,10 +409,10 @@ def _table_entries(forward, inverse, max_n):
             yield inverse, n, i
 
 
-def _shifted(table, n, i):
-    """`table` with entry i of row n shifted by +1."""
+def _shifted(table, n, i, delta=1):
+    """`table` with entry i of row n shifted by delta."""
     rows = [list(r) for r in table.rows]
-    rows[n - 1][i - (table.family == "a")] += 1
+    rows[n - 1][i - (table.family == "a")] += delta
     return CoeffTable(table.family, tuple(map(tuple, rows)))
 
 
@@ -433,6 +433,48 @@ class TestFailureWitness:
         expected = {"index": "0", "lhs": str(lhs), "rhs": str(lhs + gap)}
         for mode in ("series", "symbolic"):
             rep = verify(n, mode, n + 8, bad)
+            assert not rep.passed
+            assert rep.witness == expected
+
+    @pytest.mark.parametrize("identity,n,shifts", [
+        ("thm1", 3, {1: 1, 2: -1}),
+        ("thm1", 5, {1: 1, 2: -1}),
+        ("thm1", 8, {1: 1, 2: -1}),
+        ("thm3", 2, {0: 1, 1: -4}),
+    ])
+    def test_late_index_mismatch(self, identity, n, shifts):
+        """Two shifted entries whose summands cancel at coefficient 0 fail in
+        both modes at coefficient 1, where no factor s^e reads 1 any more;
+        lhs and rhs come from closed forms."""
+
+        def s_coeff(e, m):  # [t^m] s^e, s = sqrt(1-4t)
+            return binomial_general(Fraction(e, 2), m) * (-4) ** m
+
+        def deriv_coeff(j, m):  # [t^m] D^j C
+            return factorial(m + j) // factorial(m) * catalan_closed(m + j)
+
+        if identity == "thm1":
+            table, verify = a_table_recurrence(n), verify_thm1
+            lhs = deriv_coeff(n, 1)
+
+            def summand(i, m):  # [t^m] s^(i-2N) C^(i+1)
+                return sum(s_coeff(i - 2 * n, m - k) * higher_catalan(i + 1, k)
+                           for k in range(m + 1))
+        else:
+            table, verify = b_table_recurrence(n), verify_thm3
+            lhs = factorial(n) * higher_catalan(n + 1, 1)
+
+            def summand(i, m):  # [t^m] s^(N-2i) D^(N-i) C
+                return sum(s_coeff(n - 2 * i, m - k) * deriv_coeff(n - i, k)
+                           for k in range(m + 1))
+
+        for i, delta in shifts.items():
+            table = _shifted(table, n, i, delta)
+        assert sum(delta * summand(i, 0) for i, delta in shifts.items()) == 0
+        rhs = lhs + sum(delta * summand(i, 1) for i, delta in shifts.items())
+        expected = {"index": "1", "lhs": str(lhs), "rhs": str(rhs)}
+        for mode in ("series", "symbolic"):
+            rep = verify(n, mode, n + 8, table)
             assert not rep.passed
             assert rep.witness == expected
 

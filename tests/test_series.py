@@ -12,9 +12,10 @@ from catalan_ode.catalan import catalan_closed
 from catalan_ode.exact import binomial_general
 from catalan_ode.series import (
     Series,
-    binomial_power_series,
+    _mul,
     catalan_series,
     first_mismatch,
+    half_power_coeffs,
     sqrt_one_plus_series,
 )
 
@@ -55,7 +56,7 @@ def test_mul_truncates_to_common_order():
 
 def test_catalan_times_one_plus_sqrt_is_two():
     k = 64
-    one_plus_sqrt = Series.constant(1, k) + binomial_power_series(Fraction(1, 2), k)
+    one_plus_sqrt = Series.constant(1, k) + Series(half_power_coeffs(1, k))
     assert catalan_series(k) * one_plus_sqrt == Series.constant(2, k)
 
 
@@ -103,28 +104,36 @@ def test_nfold_derivative_coefficients():
         assert d.coeff(n) == catalan_closed(n + big_n) * falling
 
 
+# (1-4t)^alpha for alpha = e/2 is s^e, s = sqrt(1-4t)
 def test_binomial_power_alpha_one():
-    assert binomial_power_series(1, 2) == Series([1, -4, 0])
+    assert half_power_coeffs(2, 2) == [1, -4, 0]
 
 
 def test_binomial_power_geometric():
-    assert binomial_power_series(-1, 3) == Series([1, 4, 16, 64])
+    assert half_power_coeffs(-2, 3) == [1, 4, 16, 64]
 
 
 def test_binomial_power_half():
-    s = binomial_power_series(Fraction(1, 2), 4)
-    assert list(s.coeffs) == [1, -2, -2, -4, -10]
+    s = Series(half_power_coeffs(1, 4))
+    assert s.num == (1, -2, -2, -4, -10)
     assert s * s == Series([1, -4, 0, 0, 0])
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 2),
-                                   Fraction(1, 3), Fraction(-7, 5), -3])
+                                   -3])
 def test_binomial_power_inverse_pairs(alpha):
     k = 24
-    power = binomial_power_series(alpha, k)
-    assert power.coeffs == tuple(binomial_general(alpha, m) * (-4) ** m for m in range(k + 1))
-    prod = power * binomial_power_series(-alpha, k)
-    assert prod == Series.constant(1, k)
+    e = int(2 * alpha)
+    assert _mul(half_power_coeffs(e, k), half_power_coeffs(-e, k), k + 1) == [1] + [0] * k
+
+
+@pytest.mark.parametrize("e", range(-9, 10))
+def test_half_power_coeffs_match_binomial(e):
+    """[t^m] s^e = binom(e/2, m) (-4)^m, zero past t^(e/2) for even e >= 0."""
+    k = 30
+    cs = half_power_coeffs(e, k)
+    assert all(type(c) is int for c in cs)
+    assert cs == [binomial_general(Fraction(e, 2), m) * (-4) ** m for m in range(k + 1)]
 
 
 def test_catalan_satisfies_quadratic():
@@ -137,7 +146,7 @@ def test_catalan_satisfies_quadratic():
 def test_sqrt_times_catalan():
     k = 32
     c = catalan_series(k)
-    s = binomial_power_series(Fraction(1, 2), k)
+    s = Series(half_power_coeffs(1, k))
     assert s * c == Series.constant(2, k) - c
 
 

@@ -12,3 +12,11 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_all_names_resolve():
+    """Every name in `catalan_ode.__all__` exists, so a stale export fails."""
+    import catalan_ode
+
+    missing = [name for name in catalan_ode.__all__ if not hasattr(catalan_ode, name)]
+    assert missing == []
