@@ -110,14 +110,6 @@ class AlgebraicElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, r: int) -> "AlgebraicElement":
-        if r < 0:
-            raise ValueError("negative powers are not defined on the ring")
-        out = AlgebraicElement.from_rational(1)
-        for _ in range(r):
-            out = out * self
-        return out
-
     def valuation_bound(self) -> int:
         """An upper bound on the index of the first nonzero Taylor coefficient
         of a nonzero element: i - a, where t^i is the lowest power in the norm

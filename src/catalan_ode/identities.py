@@ -21,6 +21,14 @@ C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring
 elements, and `_compare` turns the two sides into a report.  A failing
 report's witness holds exact decimal strings of any length.  `VERIFIERS`
 maps every identity id to its verifier; the runner calls and times them.
+
+The work a grid of jobs shares is built once per grid, as a table: for thm1
+and thm3, `ode_table`, the ladder of powers (sC)^i C or C^(i+1) up to the
+largest N in one mechanism; for thm2 and thm4, `number_row`, the truncated
+products of the s-powers with the closed-form inputs for every n of one row
+N.  The runner builds each table before the checks and passes it as the
+verifier's last argument; a verifier called alone builds its own, so a job
+reads the same elements either way.
 """
 from __future__ import annotations
 
@@ -134,41 +142,76 @@ def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
     return _report(identity, parameters, mode, None if passed else _symbolic_witness(lhs, rhs))
 
 
+def ode_table(identity: str, N: int, mode: str, order: int = 64) -> list:
+    """The powers of C that thm1 or thm3 reads for every row up to N, in one
+    mechanism: the geometric ladder [C X^i for i = 0..N], with X = sC for
+    thm1 and X = C for thm3, so entry i is (sC)^i C or C^(i+1).  It takes N
+    products, one more for sC."""
+    cat, half_power, _ = _mechanism(N, mode, order)
+    return _ladder(identity, N, cat, half_power)
+
+
+def _ladder(identity: str, N: int, cat, half_power) -> list:
+    """`ode_table` from the C and e -> s^e of its mechanism."""
+    step = half_power(1) * cat if identity == "thm1" else cat
+    powers = [cat]
+    for _ in range(N):
+        powers.append(powers[-1] * step)
+    return powers
+
+
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
-                a_table: CoeffTable | None = None) -> VerificationReport:
+                a_table: CoeffTable | None = None,
+                powers: list | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
     a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
-    the sum is taken as s^(-2N) sum_i a_i(N) (sC)^i C."""
+    the sum is taken as s^(-2N) sum_i a_i(N) (sC)^i C, with (sC)^i C read
+    from `powers`, the thm1 `ode_table` of this mode and order."""
     N = n_deriv
     cat, half_power, params = _mechanism(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
+    if powers is None:
+        powers = _ladder("thm1", N, cat, half_power)
     lhs = cat
     for _ in range(N):
         lhs = lhs.derivative()
-    sc = half_power(1) * cat
-    terms = []
-    term = cat
-    for i in range(1, N + 1):
-        term = term * sc
-        terms.append(table.entry(i, N) * term)
+    terms = [table.entry(i, N) * powers[i] for i in range(1, N + 1)]
     return _compare("thm1", params, mode, lhs, half_power(-2 * N) * sum(terms[1:], terms[0]))
 
 
-def verify_thm2(n: int, n_deriv: int,
-                a_table: CoeffTable | None = None) -> VerificationReport:
+def number_row(identity: str, N: int, nmax: int) -> list[list[int]]:
+    """Row N of the number identity thm2 or thm4: for each i of the row, the
+    t^0..t^nmax coefficients of one summand of thm1 or thm3, as the truncated
+    product of [t^m] s^e with the closed-form inputs,
+
+        thm2, i = 1..N:      s^(i-2N)  by  C^(i+1)_m,
+        thm4, i = 0..N//2:   s^(N-2i)  by  (m+N-i)!/m! C_{m+N-i}.
+
+    Job (n, N) reads sum_i a_i(N) row[i][n] (b_i(N) for thm4), so the a/b
+    table stays a job argument."""
+    if identity == "thm2":
+        return [_mul(half_power_coeffs(i - 2 * N, nmax),
+                     [higher_catalan(i + 1, m) for m in range(nmax + 1)], nmax + 1)
+                for i in range(1, N + 1)]
+    return [_mul(half_power_coeffs(N - 2 * i, nmax),
+                 [perm(m + N - i, N - i) * catalan_closed(m + N - i) for m in range(nmax + 1)],
+                 nmax + 1)
+            for i in range(0, N // 2 + 1)]
+
+
+def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
+                row: list[list[int]] | None = None) -> VerificationReport:
     """C_{n+N} recovered from the forward expansion: the t^n coefficient of
     thm1, (n+N)!/n! C_{n+N} = sum_i a_i(N) sum_m c_m C^(i+1)_{n-m}, with
-    c_m = 4^m binom((2N-i)/2 + m - 1, m) = [t^m] (1-4t)^(-(2N-i)/2)."""
+    c_m = 4^m binom((2N-i)/2 + m - 1, m) = [t^m] (1-4t)^(-(2N-i)/2); the
+    inner sums are read from `row`, the thm2 `number_row` N."""
     N = n_deriv
     if n < 0 or N < 1:
         raise ValueError("need n >= 0 and N >= 1")
     table = a_table if a_table is not None else a_table_recurrence(N)
-    total = 0
-    for i in range(1, N + 1):
-        power = half_power_coeffs(i - 2 * N, n)
-        total += table.entry(i, N) * sum(
-            c * higher_catalan(i + 1, n - m) for m, c in enumerate(power)
-        )
+    if row is None:
+        row = number_row("thm2", N, n)
+    total = sum(table.entry(i, N) * coeffs[n] for i, coeffs in enumerate(row, 1))
     value = Fraction(total, perm(n + N, N))
     target = catalan_closed(n + N)
     witness = None if value == target else _witness(n, value, target)
@@ -176,14 +219,18 @@ def verify_thm2(n: int, n_deriv: int,
 
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
-                b_table: CoeffTable | None = None) -> VerificationReport:
+                b_table: CoeffTable | None = None,
+                powers: list | None = None) -> VerificationReport:
     """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), taken as
     s^(N mod 2) sum_i b_i(N) (1-4t)^(N//2-i) C^((N-i)), where each (1-4t)
-    power is a polynomial and the left operand of its product."""
+    power is a polynomial and the left operand of its product; C^(N+1) is
+    read from `powers`, the thm3 `ode_table` of this mode and order."""
     N = n_pow
     cat, half_power, params = _mechanism(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
-    lhs = factorial(N) * cat ** (N + 1)
+    if powers is None:
+        powers = _ladder("thm3", N, cat, half_power)
+    lhs = factorial(N) * powers[N]
     derivs = [cat]
     for _ in range(N):
         derivs.append(derivs[-1].derivative())
@@ -192,22 +239,19 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     return _compare("thm3", params, mode, lhs, half_power(N % 2) * sum(terms[1:], terms[0]))
 
 
-def verify_thm4(k: int, n_pow: int,
-                b_table: CoeffTable | None = None) -> VerificationReport:
+def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,
+                row: list[list[int]] | None = None) -> VerificationReport:
     """C_k^(N+1) recovered from the inverse expansion: the t^k coefficient
     of thm3, N! C^(N+1)_k = sum_i b_i(N) sum_m c_{k-m} (m+N-i)!/m! C_{m+N-i},
-    with c_j = binom(N/2 - i, j) (-4)^j = [t^j] (1-4t)^(N/2-i)."""
+    with c_j = binom(N/2 - i, j) (-4)^j = [t^j] (1-4t)^(N/2-i); the inner
+    sums are read from `row`, the thm4 `number_row` N."""
     N = n_pow
     if k < 0 or N < 1:
         raise ValueError("need k >= 0 and N >= 1")
     table = b_table if b_table is not None else b_table_recurrence(N)
-    total = 0
-    for i in range(0, N // 2 + 1):
-        power = half_power_coeffs(N - 2 * i, k)
-        total += table.entry(i, N) * sum(
-            power[k - m] * perm(m + N - i, N - i) * catalan_closed(m + N - i)
-            for m in range(k + 1)
-        )
+    if row is None:
+        row = number_row("thm4", N, k)
+    total = sum(table.entry(i, N) * coeffs[k] for i, coeffs in enumerate(row))
     value = Fraction(total, factorial(N))
     target = higher_catalan(N + 1, k)
     witness = None if value == target else _witness(k, value, target)

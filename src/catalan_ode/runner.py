@@ -2,11 +2,12 @@
 every integer CLI flag, with `check_bounds`, the one check that reads it.
 
 A job is plain data: an identity id and the argument tuple of its verifier,
-which `identities.VERIFIERS` names.  `run_suite` runs the jobs one after
-another in one thread, times each into its report's `cost`, and always
-sorts the reports the same way, which keeps the JSON output
-byte-deterministic (elapsed times are reported in the human table only,
-never in JSON).
+which `identities.VERIFIERS` names; thm1-thm4 jobs carry their grid's table
+as the last argument.  `run_suite` builds those tables, then runs the jobs
+one after another in one thread, times each into its report's `cost` (the
+one-off table build is not in it), and always sorts the reports the same
+way, which keeps the JSON output byte-deterministic (elapsed times are
+reported in the human table only, never in JSON).
 """
 from __future__ import annotations
 
@@ -25,9 +26,11 @@ JSON_SCHEMA_VERSION = "1"
 # The CLI declares each flag from its row, `verify`'s with RunConfig's
 # defaults.  At the upper bounds each other subcommand takes under a second
 # and prints no number past Python's 4300-digit int -> str limit, and the
-# slowest single `verify` checks take seconds rather than hours: series thm1
-# and thm3 at N = 40, K = 512 about 2.5 s each, eq64 and eq66 at 1000 about
-# 0.5 s each (CPython 3.11, one core of a 2-vCPU VM).
+# slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
+# max-N 40, K = 512, both modes with the table build, about 5.0 s and 4.2 s,
+# eq64 and eq66 at 1000 about 0.5 s each, and `verify --id all` with every
+# flag at its bound 11.6-14.0 s (CPython 3.11, one core of a 2-vCPU VM; the
+# same run took 4.8 s when that VM later ran about 2.5 times faster).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (
@@ -78,20 +81,19 @@ class RunConfig:
 
 def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     """(identity, verifier arguments) of every check of one identity, or of
-    all of them.  thm1-thm4 and eq57 share the one a and b table built here."""
+    all of them.  thm1-thm4 and eq57 share the one a and b table built here.
+    Each selected grid's table is built here once and rides in its jobs as
+    the last argument: one thm1 or thm3 `ode_table` per mode, one thm2 or
+    thm4 `number_row` per row N.  An unselected identity builds nothing, so
+    the order rule of thm1/thm3 binds only when they run."""
     if identity != "all" and identity not in ids.VERIFIERS:
         raise ValueError(f"unknown identity {identity!r}")
     a_tab = a_table_recurrence(cfg.max_n_deriv)
     b_tab = b_table_recurrence(cfg.max_n_deriv)
     rows = range(1, cfg.max_n_deriv + 1)
     number_rows = range(1, min(cfg.max_n_deriv, NUMBER_MAX_N) + 1)
-    indices = range(cfg.max_index + 1)
-    modes = ("series", "symbolic")
-    grids = {
-        "thm1": [(N, mode, cfg.series_order, a_tab) for N in rows for mode in modes],
-        "thm2": [(n, N, a_tab) for N in number_rows for n in indices],
-        "thm3": [(N, mode, cfg.series_order, b_tab) for N in rows for mode in modes],
-        "thm4": [(k, N, b_tab) for N in number_rows for k in indices],
+    coeffs = {"thm1": a_tab, "thm2": a_tab, "thm3": b_tab, "thm4": b_tab}
+    fixed = {
         "eq57": [(N, a_tab, b_tab) for N in rows],
         "eq58": [(cfg.series_order,)],
         "eq59": [(cfg.terms_eq59,)],
@@ -100,8 +102,20 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
         "eq66": [(cfg.conv_max,)],
         "asymptotic": [()],
     }
-    selected = IDENTITY_IDS if identity == "all" else (identity,)
-    return [(ident, args) for ident in selected for args in grids[ident]]
+    jobs = []
+    for ident in (IDENTITY_IDS if identity == "all" else (identity,)):
+        if ident in ("thm1", "thm3"):
+            for mode in ("series", "symbolic"):
+                powers = ids.ode_table(ident, cfg.max_n_deriv, mode, cfg.series_order)
+                jobs += [(ident, (N, mode, cfg.series_order, coeffs[ident], powers))
+                         for N in rows]
+        elif ident in ("thm2", "thm4"):
+            for N in number_rows:
+                row = ids.number_row(ident, N, cfg.max_index)
+                jobs += [(ident, (n, N, coeffs[ident], row)) for n in range(cfg.max_index + 1)]
+        else:
+            jobs += [(ident, args) for args in fixed[ident]]
+    return jobs
 
 
 def _sort_key(r: VerificationReport):

@@ -112,14 +112,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, r: int) -> "Series":
-        if r < 0:
-            raise ValueError("negative powers are not defined on the series ring")
-        out = Series.constant(1, self.order)
-        for _ in range(r):
-            out = out * self
-        return out
-
     def derivative(self) -> "Series":
         if self.order == 0:
             raise ValueError("cannot differentiate order-0 series")

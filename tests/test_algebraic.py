@@ -135,14 +135,10 @@ class TestAlgebraicElement:
 
     def test_half_power_negative(self):
         assert E.half_power(-1) == E((), (1,), 1, 0, 1)
-        e3 = E.half_power(-1) ** 3
-        assert E.half_power(-3) == e3
+        inv = E.half_power(-1)
+        assert E.half_power(-3) == inv * inv * inv
         for e in range(-9, 10):
             assert E.half_power(e) * E.half_power(-e) == ONE
-
-    def test_negative_power_is_undefined(self):
-        with pytest.raises(ValueError, match="negative powers"):
-            S ** -1
 
     def test_is_zero(self):
         assert (S - S).is_zero()
@@ -150,7 +146,7 @@ class TestAlgebraicElement:
 
     def test_eq35_inverse_ode_row(self):
         c = E.catalan()
-        lhs = 2 * c**3
+        lhs = 2 * c * c * c
         rhs = -2 * c.derivative() + U * c.derivative().derivative()
         assert (lhs - rhs).is_zero()
 

@@ -11,6 +11,7 @@ from catalan_ode.catalan import (
     catalan_recurrence,
     higher_catalan,
 )
+from catalan_ode.identities import ode_table
 from catalan_ode.series import catalan_series
 
 FIRST_THIRTEEN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -58,8 +59,8 @@ def test_higher_order_constant_term():
 
 
 def test_higher_order_matches_series_powers():
-    for r in range(1, 6):
-        power = catalan_series(12) ** r
+    # the thm3 ladder holds C^1..C^5 at order 12
+    for r, power in enumerate(ode_table("thm3", 4, "series", 12), 1):
         for n in range(13):
             assert higher_catalan(r, n) == power.coeff(n)
 

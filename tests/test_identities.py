@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -33,7 +34,7 @@ from catalan_ode.identities import (
     verify_thm3,
     verify_thm4,
 )
-from catalan_ode.runner import BOUNDS
+from catalan_ode.runner import BOUNDS, NUMBER_MAX_N, RunConfig, _jobs, run_suite
 from catalan_ode.series import Series, sqrt_one_plus_series
 
 
@@ -558,3 +559,95 @@ class TestFailureWitness:
         witness = _symbolic_witness(c, c + t30)
         c30 = catalan_closed(30)
         assert witness == {"index": "30", "lhs": str(c30), "rhs": str(c30 + 1)}
+
+
+class TestGridTables:
+    """The runner builds each grid's table once and hands it to every job:
+    one `ode_table` per thm1/thm3 mode, one `number_row` per thm2/thm4 row."""
+
+    @staticmethod
+    def _kernel_work(monkeypatch, identity, max_n):
+        """Work of the series products of run_suite(identity) at K = 64:
+        the sum over every product of two series of the nonzero entries of
+        the left operand times the length of the right one."""
+        work = 0
+        mul = Series.__mul__
+
+        def spy(self, other):
+            nonlocal work
+            if isinstance(other, Series):
+                work += sum(1 for c in self.num if c) * len(other.num)
+            return mul(self, other)
+
+        with monkeypatch.context() as m:
+            m.setattr(Series, "__mul__", spy)
+            reports = run_suite(identity, RunConfig(max_n_deriv=max_n, series_order=64))
+        assert reports and all(r.passed for r in reports)
+        return work
+
+    @pytest.mark.parametrize("identity", ["thm1", "thm3"])
+    def test_series_kernel_work(self, identity, monkeypatch):
+        """Rebuilding the powers of C in every job made 2.4-2.5 M at max-N 32,
+        3.5-3.8 times the work at max-N 16; one ladder per grid makes about
+        0.27 M, growing about linearly in max-N."""
+        small = self._kernel_work(monkeypatch, identity, 16)
+        large = self._kernel_work(monkeypatch, identity, 32)
+        assert large <= 500_000
+        assert large <= 2.5 * small
+
+    def test_run_suite_builds_each_table_once(self, monkeypatch):
+        """`_ladder` also builds the table of a verifier called alone, so a
+        job without its table would show here as one more build."""
+        calls = Counter()
+        ladder, number_row = identities._ladder, identities.number_row
+
+        def ladder_spy(identity, N, cat, half_power):
+            mode = "series" if isinstance(cat, Series) else "symbolic"
+            calls["ladder", identity, N, mode] += 1
+            return ladder(identity, N, cat, half_power)
+
+        def row_spy(identity, N, nmax):
+            calls["number_row", identity, N, nmax] += 1
+            return number_row(identity, N, nmax)
+
+        monkeypatch.setattr(identities, "_ladder", ladder_spy)
+        monkeypatch.setattr(identities, "number_row", row_spy)
+        cfg = RunConfig()
+        reports = run_suite("all", cfg)
+        assert all(r.passed for r in reports)
+        expected = Counter(
+            [("ladder", ident, cfg.max_n_deriv, mode)
+             for ident in ("thm1", "thm3") for mode in ("series", "symbolic")]
+            + [("number_row", ident, N, cfg.max_index)
+               for ident in ("thm2", "thm4") for N in range(1, NUMBER_MAX_N + 1)]
+        )
+        assert calls == expected
+
+    @staticmethod
+    def _assert_parity(identity, cfg, last_entry):
+        """Each job of the grid, which carries the runner's table, reports
+        what its verifier called alone reports: on the true a/b table, and
+        on one with the row's last entry shifted, where both fail."""
+        verify = getattr(identities, identities.VERIFIERS[identity])
+        jobs = _jobs(identity, cfg)
+        assert jobs
+        for _, args in jobs:
+            *head, table, grid_table = args
+            N = head[0] if identity in ("thm1", "thm3") else head[1]
+            bad = _shifted(table, N, last_entry(N))
+            for tab in (table, bad):
+                shared = verify(*head, tab, grid_table)
+                assert shared == verify(*head, tab)
+                assert shared.passed is (tab is table)
+
+    @pytest.mark.parametrize("identity,last_entry", [
+        ("thm1", lambda N: N), ("thm3", lambda N: N // 2),
+    ])
+    def test_ode_table_parity(self, identity, last_entry):
+        self._assert_parity(identity, RunConfig(max_n_deriv=8), last_entry)
+
+    @pytest.mark.parametrize("identity,last_entry", [
+        ("thm2", lambda N: N), ("thm4", lambda N: N // 2),
+    ])
+    def test_number_row_parity(self, identity, last_entry):
+        self._assert_parity(identity, RunConfig(max_index=20), last_entry)
