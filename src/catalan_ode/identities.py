@@ -11,10 +11,13 @@ of thm1 and thm3, with the (1-4t)^(e/2) factors taken from
 are integer sums too, since each weight C_m (m+1)/(2m-1) is the integer
 2 C_{m-1} (-1 at m = 0), and they carry a denominator only where an input
 is wrong; the eq59/eq62 sums are evaluated by exact binary splitting, as
-one integer fraction T / (B Q).  Each builds a `Fraction` only once per
-check, for the comparison or the witness.  The only inexact steps are the
-comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to 40,
-and of the 40-digit `Decimal` asymptotic ratio with the band (0.99, 1.01).
+one integer fraction T / (B Q), over c_n = C_n/4^n, whose ratio
+(2k-1)/(2k+2) leaves each term a single factor of B (binom(2n,n)/4^n left
+two).  The integer checks build a `Fraction` only for a failure witness,
+and each sum builds one, for the comparison.  The only inexact steps are
+the comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to
+40, and of the 40-digit `Decimal` asymptotic ratio with the band
+(0.99, 1.01).
 
 thm1 and thm3 each have one body for both mechanisms: `_mechanism` supplies
 C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring
@@ -26,7 +29,9 @@ The work a grid of jobs shares is built once per grid, as a table: for thm1
 and thm3, `ode_table`, the ladder of powers (sC)^i C or C^(i+1) up to the
 largest N in one mechanism; for thm2 and thm4, `number_row`, the truncated
 products of the s-powers with the closed-form inputs for every n of one row
-N.  The runner builds each table before the checks and passes it as the
+N; for eq64 and eq66, `conv_table`, the one convolution of the weights with
+the Catalan inputs, from which eq66 drops its m = 0 and m = n terms.  The
+runner builds each table before the checks and passes it as the
 verifier's last argument; a verifier called alone builds its own, so a job
 reads the same elements either way.
 """
@@ -212,9 +217,8 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
     if row is None:
         row = number_row("thm2", N, n)
     total = sum(table.entry(i, N) * coeffs[n] for i, coeffs in enumerate(row, 1))
-    value = Fraction(total, perm(n + N, N))
-    target = catalan_closed(n + N)
-    witness = None if value == target else _witness(n, value, target)
+    target, scale = catalan_closed(n + N), perm(n + N, N)
+    witness = None if total == target * scale else _witness(n, Fraction(total, scale), target)
     return _report("thm2", {"n": n, "N": N}, "numeric", witness)
 
 
@@ -252,9 +256,8 @@ def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,
     if row is None:
         row = number_row("thm4", N, k)
     total = sum(table.entry(i, N) * coeffs[k] for i, coeffs in enumerate(row))
-    value = Fraction(total, factorial(N))
-    target = higher_catalan(N + 1, k)
-    witness = None if value == target else _witness(k, value, target)
+    target, scale = higher_catalan(N + 1, k), factorial(N)
+    witness = None if total == target * scale else _witness(k, Fraction(total, scale), target)
     return _report("thm4", {"k": k, "N": N}, "numeric", witness)
 
 
@@ -313,11 +316,10 @@ def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
     the first omitted term, pass flag)."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
-    # with r_n = binom(2n,n)/4^n = prod_{1<=k<=n} (2k-1)/(2k) the term is
-    # r_n (-1)^(n-1) / ((n+1)(2n-1)); p(k) = 1 - 2k carries the sign and
-    # is 1 at k = 0
-    _, q, b, t = _binary_split(lambda k: 1 - 2 * k, lambda k: 2 * k or 1,
-                               lambda n: (n + 1) * (1 - 2 * n), 0, terms)
+    # with c_n = C_n/4^n = prod_{1<=k<=n} (2k-1)/(2k+2) the term is
+    # c_n (-1)^n / (1-2n); p(k) = 1 - 2k carries the sign and is 1 at k = 0
+    _, q, b, t = _binary_split(lambda k: 1 - 2 * k, lambda k: 2 * k + 2 if k else 1,
+                               lambda n: 1 - 2 * n, 0, terms)
     partial = Fraction(t, b * q)
     bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
     target = (4 * SQRT2_40 - 2) / 3
@@ -367,9 +369,9 @@ def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     ln 2 constant; hi is a rigorous upper bound on the truncation error."""
     if terms < 1:
         raise ValueError("need at least 1 term")
-    # the term is r_n / (4(n+1)^2), with r_n as in sum_eq59
-    _, q, b, t = _binary_split(lambda k: 2 * k - 1 if k else 1, lambda k: 2 * k or 1,
-                               lambda n: 4 * (n + 1) ** 2, 0, terms)
+    # the term is c_n / (4(n+1)), with c_n = C_n/4^n as in sum_eq59
+    _, q, b, t = _binary_split(lambda k: 2 * k - 1 if k else 1, lambda k: 2 * k + 2 if k else 1,
+                               lambda n: 4 * (n + 1), 0, terms)
     partial = Fraction(t, b * q)
     lo, hi = eq62_tail_enclosure(terms)
     passed = lo - EPS_CONST <= (1 - LN2_36) - partial <= hi + EPS_CONST
@@ -410,12 +412,20 @@ def _conv_weights(cs: list[int]) -> tuple[int, list[int]]:
     return den, [n * (den // d) for n, d in reduced]
 
 
-def verify_eq64(nmax: int) -> VerificationReport:
-    """C_n - sum_{m=0}^{n} C_m C_{n-m} (m+1)/(2m-1) equals 2 at n=0 and 0 for
-    n >= 1 (the m=0 factor is exactly 1/(-1), no special casing)."""
+def conv_table(nmax: int) -> tuple[list[int], int, list[int], list[int]]:
+    """(cs, L, u, conv) that eq64 and eq66 both read: the inputs C_0..C_nmax,
+    their weights u / L from `_conv_weights`, and the convolution
+    conv_n = sum_{m=0}^{n} u_m C_{n-m} for n = 0..nmax."""
     cs = _conv_inputs(nmax)
     den, u = _conv_weights(cs)
-    conv = _mul(u, cs, nmax + 1)
+    return cs, den, u, _mul(u, cs, nmax + 1)
+
+
+def verify_eq64(nmax: int, table: tuple | None = None) -> VerificationReport:
+    """C_n - sum_{m=0}^{n} C_m C_{n-m} (m+1)/(2m-1) equals 2 at n=0 and 0 for
+    n >= 1 (the m=0 factor is exactly 1/(-1), no special casing); the sum
+    is read from `table`, the `conv_table` of nmax."""
+    cs, den, _, conv = table if table is not None else conv_table(nmax)
     witness = None
     for n in range(nmax + 1):
         expected = 2 if n == 0 else 0
@@ -425,23 +435,25 @@ def verify_eq64(nmax: int) -> VerificationReport:
     return _report("eq64", {"nmax": nmax}, "numeric", witness)
 
 
-def verify_eq66(nmax: int) -> VerificationReport:
-    """C_n = (2n-1)/(3(n-1)) * sum_{m=1}^{n-1} C_m C_{n-m} (m+1)/(2m-1) for n >= 2."""
-    cs = _conv_inputs(nmax)
-    den, u = _conv_weights(cs)
-    # zeroing index 0 of both factors leaves m = 1..n-1
-    inner = _mul([0] + u[1:], [0] + cs[1:], nmax + 1)
+def verify_eq66(nmax: int, table: tuple | None = None) -> VerificationReport:
+    """C_n = (2n-1)/(3(n-1)) * sum_{m=1}^{n-1} C_m C_{n-m} (m+1)/(2m-1) for
+    n >= 2; the sum is the `conv_table` convolution without its m = 0 and
+    m = n terms."""
+    cs, den, u, conv = table if table is not None else conv_table(nmax)
     witness = None
     for n in range(2, nmax + 1):
-        if (2 * n - 1) * inner[n] != 3 * (n - 1) * den * cs[n]:
-            witness = _witness(n, Fraction((2 * n - 1) * inner[n], 3 * (n - 1) * den), cs[n])
+        inner = conv[n] - u[0] * cs[n] - u[n] * cs[0]
+        if (2 * n - 1) * inner != 3 * (n - 1) * den * cs[n]:
+            witness = _witness(n, Fraction((2 * n - 1) * inner, 3 * (n - 1) * den), cs[n])
             break
     return _report("eq66", {"nmax": nmax}, "numeric", witness)
 
 
 def verify_convolution_recurrences(nmax: int) -> tuple[VerificationReport, VerificationReport]:
-    """Both convolution recurrences for the Catalan numbers: (eq64, eq66)."""
-    return verify_eq64(nmax), verify_eq66(nmax)
+    """Both convolution recurrences for the Catalan numbers, (eq64, eq66),
+    from one `conv_table`."""
+    table = conv_table(nmax)
+    return verify_eq64(nmax, table), verify_eq66(nmax, table)
 
 
 def verify_asymptotic(n: int = 1000) -> VerificationReport:

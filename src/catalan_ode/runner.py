@@ -2,12 +2,12 @@
 every integer CLI flag, with `check_bounds`, the one check that reads it.
 
 A job is plain data: an identity id and the argument tuple of its verifier,
-which `identities.VERIFIERS` names; thm1-thm4 jobs carry their grid's table
-as the last argument.  `run_suite` builds those tables, then runs the jobs
-one after another in one thread, times each into its report's `cost` (the
-one-off table build is not in it), and always sorts the reports the same
-way, which keeps the JSON output byte-deterministic (elapsed times are
-reported in the human table only, never in JSON).
+which `identities.VERIFIERS` names; thm1-thm4, eq64 and eq66 jobs carry
+their grid's table as the last argument.  `run_suite` builds those tables,
+then runs the jobs one after another in one thread, times each into its
+report's `cost` (the one-off table build is not in it), and always sorts
+the reports the same way, which keeps the JSON output byte-deterministic
+(elapsed times are reported in the human table only, never in JSON).
 """
 from __future__ import annotations
 
@@ -28,9 +28,10 @@ JSON_SCHEMA_VERSION = "1"
 # and prints no number past Python's 4300-digit int -> str limit, and the
 # slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
 # max-N 40, K = 512, both modes with the table build, about 5.0 s and 4.2 s,
-# eq64 and eq66 at 1000 about 0.5 s each, and `verify --id all` with every
-# flag at its bound 11.6-14.0 s (CPython 3.11, one core of a 2-vCPU VM; the
-# same run took 4.8 s when that VM later ran about 2.5 times faster).
+# eq64 and eq66 at 1000 about 0.5 s together, nearly all of it the one
+# `conv_table` they share, and `verify --id all` with every flag at its
+# bound 13.0-13.3 s (CPython 3.11, one core of a 2-vCPU VM; the same run
+# took 4.8 s when that VM once ran about 2.5 times faster).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (
@@ -84,8 +85,9 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     all of them.  thm1-thm4 and eq57 share the one a and b table built here.
     Each selected grid's table is built here once and rides in its jobs as
     the last argument: one thm1 or thm3 `ode_table` per mode, one thm2 or
-    thm4 `number_row` per row N.  An unselected identity builds nothing, so
-    the order rule of thm1/thm3 binds only when they run."""
+    thm4 `number_row` per row N, and one `conv_table` for eq64 and eq66.
+    An unselected identity builds nothing, so the order rule of thm1/thm3
+    binds only when they run."""
     if identity != "all" and identity not in ids.VERIFIERS:
         raise ValueError(f"unknown identity {identity!r}")
     a_tab = a_table_recurrence(cfg.max_n_deriv)
@@ -93,13 +95,14 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     rows = range(1, cfg.max_n_deriv + 1)
     number_rows = range(1, min(cfg.max_n_deriv, NUMBER_MAX_N) + 1)
     coeffs = {"thm1": a_tab, "thm2": a_tab, "thm3": b_tab, "thm4": b_tab}
+    conv = ids.conv_table(cfg.conv_max) if identity in ("all", "eq64", "eq66") else None
     fixed = {
         "eq57": [(N, a_tab, b_tab) for N in rows],
         "eq58": [(cfg.series_order,)],
         "eq59": [(cfg.terms_eq59,)],
         "eq62": [(cfg.terms_eq62,)],
-        "eq64": [(cfg.conv_max,)],
-        "eq66": [(cfg.conv_max,)],
+        "eq64": [(cfg.conv_max, conv)],
+        "eq66": [(cfg.conv_max, conv)],
         "asymptotic": [()],
     }
     jobs = []

@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import RationalLike
-
 
 def _trim(p: list[int]) -> list[int]:
     while p and not p[-1]:
@@ -81,10 +79,6 @@ class Series:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return Fraction(self.num[n], self.den)
-
-    @staticmethod
-    def constant(value: RationalLike, order: int) -> "Series":
-        return Series([value] + [0] * order)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and (self.num, self.den) == (other.num, other.den)

@@ -306,6 +306,23 @@ class TestSumsBySplitting:
         assert not passed
 
     @pytest.mark.parametrize("identity", SUMS)
+    def test_denominator_bits(self, identity, monkeypatch):
+        """Split over c_n = C_n/4^n, each term leaves one factor in B; over
+        binom(2n,n)/4^n it left two, and B Q of the top-level split at 2000
+        terms had 61,129 bits (eq59) and 63,147 (eq62)."""
+        split, bits = identities._binary_split, []
+
+        def spy(p, q, b, lo, hi):
+            P, Q, B, T = split(p, q, b, lo, hi)
+            if (lo, hi) == (0, 2000):
+                bits.append((B * Q).bit_length())
+            return P, Q, B, T
+
+        monkeypatch.setattr(identities, "_binary_split", spy)
+        assert SUMS[identity][0](2000)[2]
+        assert len(bits) == 1 and bits[0] <= 45_000
+
+    @pytest.mark.parametrize("identity", SUMS)
     def test_upper_bound(self, identity):
         terms = next(hi for _, _, dest, _, hi in BOUNDS if dest == f"terms_{identity}")
         assert SUMS[identity][0](terms)[2]
@@ -563,7 +580,8 @@ class TestFailureWitness:
 
 class TestGridTables:
     """The runner builds each grid's table once and hands it to every job:
-    one `ode_table` per thm1/thm3 mode, one `number_row` per thm2/thm4 row."""
+    one `ode_table` per thm1/thm3 mode, one `number_row` per thm2/thm4 row,
+    one `conv_table` for eq64 and eq66."""
 
     @staticmethod
     def _kernel_work(monkeypatch, identity, max_n):
@@ -596,10 +614,12 @@ class TestGridTables:
         assert large <= 2.5 * small
 
     def test_run_suite_builds_each_table_once(self, monkeypatch):
-        """`_ladder` also builds the table of a verifier called alone, so a
-        job without its table would show here as one more build."""
+        """`_ladder` and `conv_table` also build the table of a verifier
+        called alone, so a job without its table would show here as one
+        more build."""
         calls = Counter()
         ladder, number_row = identities._ladder, identities.number_row
+        conv_table = identities.conv_table
 
         def ladder_spy(identity, N, cat, half_power):
             mode = "series" if isinstance(cat, Series) else "symbolic"
@@ -610,8 +630,13 @@ class TestGridTables:
             calls["number_row", identity, N, nmax] += 1
             return number_row(identity, N, nmax)
 
+        def conv_spy(nmax):
+            calls["conv_table", nmax] += 1
+            return conv_table(nmax)
+
         monkeypatch.setattr(identities, "_ladder", ladder_spy)
         monkeypatch.setattr(identities, "number_row", row_spy)
+        monkeypatch.setattr(identities, "conv_table", conv_spy)
         cfg = RunConfig()
         reports = run_suite("all", cfg)
         assert all(r.passed for r in reports)
@@ -620,8 +645,29 @@ class TestGridTables:
              for ident in ("thm1", "thm3") for mode in ("series", "symbolic")]
             + [("number_row", ident, N, cfg.max_index)
                for ident in ("thm2", "thm4") for N in range(1, NUMBER_MAX_N + 1)]
+            + [("conv_table", cfg.conv_max)]
         )
         assert calls == expected
+        for identity, builds in (("eq66", 1), ("thm1", 0)):
+            calls.clear()
+            assert all(r.passed for r in run_suite(identity, cfg))
+            assert calls["conv_table", cfg.conv_max] == builds
+
+    def test_run_suite_makes_one_convolution(self, monkeypatch):
+        """eq64 and eq66 each made their own product of length conv-max + 1;
+        the runner's `conv_table` makes one for both."""
+        cfg = RunConfig()
+        assert cfg.conv_max != cfg.max_index
+        lengths = Counter()
+        mul = identities._mul
+
+        def mul_spy(p, q, n=None):
+            lengths[n] += 1
+            return mul(p, q, n)
+
+        monkeypatch.setattr(identities, "_mul", mul_spy)
+        assert all(r.passed for r in run_suite("all", cfg))
+        assert lengths[cfg.conv_max + 1] == 1
 
     @staticmethod
     def _assert_parity(identity, cfg, last_entry):
@@ -651,3 +697,21 @@ class TestGridTables:
     ])
     def test_number_row_parity(self, identity, last_entry):
         self._assert_parity(identity, RunConfig(max_index=20), last_entry)
+
+    @pytest.mark.parametrize("identity", ["eq64", "eq66"])
+    def test_conv_table_parity(self, identity, monkeypatch):
+        """The eq64/eq66 job, which carries the runner's `conv_table`,
+        reports what its verifier called alone reports: on the true inputs,
+        and with one C_j shifted through `_conv_inputs`, where both fail."""
+        verify = getattr(identities, identities.VERIFIERS[identity])
+        cfg = RunConfig(conv_max=60)
+        true_cs = identities._conv_inputs(cfg.conv_max)
+        for j in (None, 1, 2, 30, 60):
+            cs = list(true_cs)
+            if j is not None:
+                cs[j] += 1
+            monkeypatch.setattr(identities, "_conv_inputs", lambda nmax, cs=cs: list(cs))
+            [(_, args)] = _jobs(identity, cfg)
+            shared = verify(*args)
+            assert shared == verify(cfg.conv_max)
+            assert shared.passed is (j is None)

@@ -34,12 +34,12 @@ def test_add_basic():
 
 def test_add_identity():
     a = Series([3, Fraction(1, 2), -4])
-    assert a + Series.constant(0, 2) == a
+    assert a + Series([0, 0, 0]) == a
 
 
 def test_catalan_minus_itself():
     c = catalan_series(8)
-    assert c + (-c) == Series.constant(0, 8)
+    assert c + (-c) == Series([0] * 9)
 
 
 def test_mul_basic():
@@ -56,8 +56,8 @@ def test_mul_truncates_to_common_order():
 
 def test_catalan_times_one_plus_sqrt_is_two():
     k = 64
-    one_plus_sqrt = Series.constant(1, k) + Series(half_power_coeffs(1, k))
-    assert catalan_series(k) * one_plus_sqrt == Series.constant(2, k)
+    one_plus_sqrt = Series([1] + [0] * k) + Series(half_power_coeffs(1, k))
+    assert catalan_series(k) * one_plus_sqrt == Series([2] + [0] * k)
 
 
 def test_catalan_square_shifts_sequence():
@@ -137,14 +137,14 @@ def test_catalan_satisfies_quadratic():
     k = 40
     c = catalan_series(k)
     t = Series([0, 1] + [0] * (k - 1))
-    assert Series.constant(1, k) + t * c * c == c
+    assert Series([1] + [0] * k) + t * c * c == c
 
 
 def test_sqrt_times_catalan():
     k = 32
     c = catalan_series(k)
     s = Series(half_power_coeffs(1, k))
-    assert s * c == Series.constant(2, k) - c
+    assert s * c == Series([2] + [0] * k) - c
 
 
 def test_sqrt_one_plus_terms():
@@ -229,7 +229,7 @@ def test_canonical_form(a):
     s = Series(a)
     den = lcm(*(c.denominator for c in a))
     numerators = Series([int(c * den) for c in a])
-    zero = Series.constant(0, len(a) - 1)
+    zero = Series([0] * len(a))
     for t in (Series(numerators.num, den), numerators * Fraction(1, den) + zero):
         assert s == t and hash(s) == hash(t)
     assert s.den == den
