@@ -83,6 +83,8 @@ class AlgebraicElement:
 
     def _lift(self, d: int, a: int, b: int):
         """P and Q over the larger denominator d * t^a * u^b."""
+        if (d, a, b) == (self.d, self.a, self.b):
+            return self.P, self.Q
         j = b - self.b
         f = [0] * (a - self.a) + [d // self.d * c for c in half_power_coeffs(2 * j, j)]
         return _mul(self.P, f), _mul(self.Q, f)
@@ -100,7 +102,10 @@ class AlgebraicElement:
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            other = AlgebraicElement.from_rational(other)
+            # a rational scales P and Q; __init__ restores the normal form
+            n = other.numerator
+            return AlgebraicElement([n * c for c in self.P], [n * c for c in self.Q],
+                                    self.d * other.denominator, self.a, self.b)
         p1, q1, p2, q2 = self.P, self.Q, other.P, other.Q
         return AlgebraicElement(
             _add(_mul(p1, p2), _mul(_mul(q1, q2), (1, -4))),

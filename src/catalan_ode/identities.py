@@ -21,13 +21,16 @@ the comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to
 
 thm1 and thm3 each have one body for both mechanisms: `_mechanism` supplies
 C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring
-elements, and `_compare` turns the two sides into a report.  A failing
-report's witness holds exact decimal strings of any length.  `VERIFIERS`
-maps every identity id to its verifier; the runner calls and times them.
+elements, and `_compare` turns the two sides into a report; ring elements
+are compared by their canonical records, and lhs - rhs is built only for
+a failure.  A failing report's witness holds exact decimal strings of any
+length.  `VERIFIERS` maps every identity id to its verifier; the runner
+calls and times them.
 
 The work a grid of jobs shares is built once per grid, as a table: for thm1
-and thm3, `ode_table`, the ladder of powers (sC)^i C or C^(i+1) up to the
-largest N in one mechanism; for thm2 and thm4, `number_row`, the truncated
+and thm3, `ode_table`, two ladders up to the largest N in one mechanism,
+the powers (sC)^i C or C^(i+1) and the derivatives D^k C, one product and
+one derivative per step; for thm2 and thm4, `number_row`, the truncated
 products of the s-powers with the closed-form inputs for every n of one row
 N; for eq64 and eq66, `conv_table`, the one convolution of the weights with
 the Catalan inputs, from which eq66 drops its m = 0 and m = n terms.  The
@@ -138,50 +141,49 @@ def _mechanism(N: int, mode: str, order: int):
 
 
 def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
-    """Series are compared coefficient by coefficient; ring elements by the
-    zero test of lhs - rhs, with a witness only when it fails."""
+    """Series are compared coefficient by coefficient; ring elements by
+    equality, since each has one canonical record, with lhs - rhs built
+    only for the witness of a failure."""
     if mode == "series":
         mm = first_mismatch(lhs, rhs)
         return _report(identity, parameters, mode, mm and _witness(*mm))
-    passed = (lhs - rhs).is_zero()
-    return _report(identity, parameters, mode, None if passed else _symbolic_witness(lhs, rhs))
+    return _report(identity, parameters, mode, None if lhs == rhs else _symbolic_witness(lhs, rhs))
 
 
-def ode_table(identity: str, N: int, mode: str, order: int = 64) -> list:
-    """The powers of C that thm1 or thm3 reads for every row up to N, in one
-    mechanism: the geometric ladder [C X^i for i = 0..N], with X = sC for
-    thm1 and X = C for thm3, so entry i is (sC)^i C or C^(i+1).  It takes N
-    products, one more for sC."""
+def ode_table(identity: str, N: int, mode: str, order: int = 64) -> tuple[list, list]:
+    """The elements thm1 or thm3 reads for every row up to N, in one
+    mechanism, as two ladders (powers, derivs): the geometric ladder
+    powers = [C X^i for i = 0..N], with X = sC for thm1 and X = C for thm3,
+    so entry i is (sC)^i C or C^(i+1), and derivs = [D^k C for k = 0..N].
+    It takes N products, one more for sC, and N derivatives."""
     cat, half_power, _ = _mechanism(N, mode, order)
     return _ladder(identity, N, cat, half_power)
 
 
-def _ladder(identity: str, N: int, cat, half_power) -> list:
+def _ladder(identity: str, N: int, cat, half_power) -> tuple[list, list]:
     """`ode_table` from the C and e -> s^e of its mechanism."""
     step = half_power(1) * cat if identity == "thm1" else cat
-    powers = [cat]
+    powers, derivs = [cat], [cat]
     for _ in range(N):
         powers.append(powers[-1] * step)
-    return powers
+        derivs.append(derivs[-1].derivative())
+    return powers, derivs
 
 
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None,
-                powers: list | None = None) -> VerificationReport:
+                ladders: tuple[list, list] | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
     a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
-    the sum is taken as s^(-2N) sum_i a_i(N) (sC)^i C, with (sC)^i C read
-    from `powers`, the thm1 `ode_table` of this mode and order."""
+    the sum is taken as s^(-2N) sum_i a_i(N) (sC)^i C.  D^N C and (sC)^i C
+    are read from `ladders`, the thm1 `ode_table` of this mode and order."""
     N = n_deriv
     cat, half_power, params = _mechanism(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
-    if powers is None:
-        powers = _ladder("thm1", N, cat, half_power)
-    lhs = cat
-    for _ in range(N):
-        lhs = lhs.derivative()
+    powers, derivs = ladders if ladders is not None else _ladder("thm1", N, cat, half_power)
     terms = [table.entry(i, N) * powers[i] for i in range(1, N + 1)]
-    return _compare("thm1", params, mode, lhs, half_power(-2 * N) * sum(terms[1:], terms[0]))
+    return _compare("thm1", params, mode, derivs[N],
+                    half_power(-2 * N) * sum(terms[1:], terms[0]))
 
 
 def number_row(identity: str, N: int, nmax: int) -> list[list[int]]:
@@ -224,23 +226,20 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None,
-                powers: list | None = None) -> VerificationReport:
+                ladders: tuple[list, list] | None = None) -> VerificationReport:
     """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), taken as
     s^(N mod 2) sum_i b_i(N) (1-4t)^(N//2-i) C^((N-i)), where each (1-4t)
-    power is a polynomial and the left operand of its product; C^(N+1) is
-    read from `powers`, the thm3 `ode_table` of this mode and order."""
+    power is a polynomial and the left operand of its product; C^(N+1) and
+    C^((N-i)) = D^(N-i) C are read from `ladders`, the thm3 `ode_table` of
+    this mode and order."""
     N = n_pow
     cat, half_power, params = _mechanism(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
-    if powers is None:
-        powers = _ladder("thm3", N, cat, half_power)
-    lhs = factorial(N) * powers[N]
-    derivs = [cat]
-    for _ in range(N):
-        derivs.append(derivs[-1].derivative())
+    powers, derivs = ladders if ladders is not None else _ladder("thm3", N, cat, half_power)
     terms = [table.entry(i, N) * (half_power(2 * (N // 2 - i)) * derivs[N - i])
              for i in range(0, N // 2 + 1)]
-    return _compare("thm3", params, mode, lhs, half_power(N % 2) * sum(terms[1:], terms[0]))
+    return _compare("thm3", params, mode, factorial(N) * powers[N],
+                    half_power(N % 2) * sum(terms[1:], terms[0]))
 
 
 def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,

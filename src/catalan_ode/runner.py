@@ -84,8 +84,10 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     """(identity, verifier arguments) of every check of one identity, or of
     all of them.  thm1-thm4 and eq57 share the one a and b table built here.
     Each selected grid's table is built here once and rides in its jobs as
-    the last argument: one thm1 or thm3 `ode_table` per mode, one thm2 or
-    thm4 `number_row` per row N, and one `conv_table` for eq64 and eq66.
+    the last argument: one thm1 or thm3 `ode_table` per mode (its powers of
+    C and its derivatives D^k C, so a grid takes max-N derivatives, not one
+    ladder of them per job), one thm2 or thm4 `number_row` per row N, and
+    one `conv_table` for eq64 and eq66.
     An unselected identity builds nothing, so the order rule of thm1/thm3
     binds only when they run."""
     if identity != "all" and identity not in ids.VERIFIERS:
@@ -109,8 +111,8 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     for ident in (IDENTITY_IDS if identity == "all" else (identity,)):
         if ident in ("thm1", "thm3"):
             for mode in ("series", "symbolic"):
-                powers = ids.ode_table(ident, cfg.max_n_deriv, mode, cfg.series_order)
-                jobs += [(ident, (N, mode, cfg.series_order, coeffs[ident], powers))
+                ladders = ids.ode_table(ident, cfg.max_n_deriv, mode, cfg.series_order)
+                jobs += [(ident, (N, mode, cfg.series_order, coeffs[ident], ladders))
                          for N in rows]
         elif ident in ("thm2", "thm4"):
             for N in number_rows:
@@ -166,6 +168,13 @@ def emit_report(reports: list[VerificationReport], fmt: str) -> str:
         params = " ".join(f"{k}={v}" for k, v in sorted(r.parameters.items()))
         rows.append((r.identity, params, r.mode,
                      "PASS" if r.passed else "FAIL", f"{r.cost:.3f}s"))
+    # one subtotal row per identity: checks passed of checks run, summed time
+    totals: dict[str, tuple[int, int, float]] = {}
+    for r in reports:
+        count, passed, cost = totals.get(r.identity, (0, 0, 0.0))
+        totals[r.identity] = (count + 1, passed + r.passed, cost + r.cost)
+    rows += [(ident, "subtotal", "", f"{passed}/{count}", f"{cost:.3f}s")
+             for ident, (count, passed, cost) in totals.items()]
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]

@@ -4,11 +4,18 @@ from math import gcd
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catalan_ode.algebraic import AlgebraicElement
-from catalan_ode.series import Series, catalan_series, first_mismatch, half_power_coeffs
+from catalan_ode.series import (
+    Series,
+    _add,
+    _mul,
+    catalan_series,
+    first_mismatch,
+    half_power_coeffs,
+)
 
 E = AlgebraicElement
 ONE = E.from_rational(1)
@@ -158,6 +165,31 @@ class TestAlgebraicElement:
         assert (x * y) * z == x * (y * z)
         assert x + E() == x and x * ONE == x
         assert (x - x).is_zero()
+
+    @given(small_elem, st.sampled_from([0, 1, -1, 3, -3, 2**70 + 1]))
+    @settings(max_examples=40)
+    def test_int_scaling_is_the_ring_product(self, x, c):
+        """Scaling P and Q by an int gives the product with the ring's c."""
+        assert x * c == x * E.from_rational(c) == c * x
+
+    @given(small_elem, small_elem, st.integers(1, 6))
+    @settings(max_examples=40)
+    def test_equality_is_the_zero_test(self, x, y, k):
+        """With one canonical record per element, == is the zero test of the
+        difference, for an unrelated y and for x written over k t (1-4t)."""
+        f = (0, k, -4 * k)
+        same = E(_mul(x.P, f), _mul(x.Q, f), k * x.d, x.a + 1, x.b + 1)
+        assert x == same
+        for z in (y, same):
+            assert (x == z) is (x - z).is_zero()
+
+    @given(small_elem, small_coeffs, small_coeffs)
+    @settings(max_examples=40)
+    def test_sum_over_a_shared_denominator(self, x, p, q):
+        """Operands that already share d, a and b add their numerators."""
+        y = E(p, q, x.d, x.a, x.b)
+        assume((y.d, y.a, y.b) == (x.d, x.a, x.b))
+        assert x + y == E(_add(x.P, y.P), _add(x.Q, y.Q), x.d, x.a, x.b)
 
     @given(small_elem, small_elem)
     @settings(max_examples=40)

@@ -145,17 +145,18 @@ class TestVerifyCommand:
         golden = (GOLDEN / f"verify_{name}.json").read_bytes()
         assert capsys.readouterr().out.encode() == golden
 
-    def test_json_matches_golden_under_optimize_flag(self):
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FLAGS))
+    def test_json_matches_golden_under_optimize_flag(self, name):
         """python -O strips asserts; the checks must not rely on them."""
         path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                              os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-O", "-m", "catalan_ode.cli", "verify", "--id", "all",
-             "--format", "json"],
+             "--format", "json", *GOLDEN_FLAGS[name]],
             capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
-        assert out.stdout == (GOLDEN / "verify_suite_default.json").read_bytes()
+        assert out.stdout == (GOLDEN / f"verify_{name}.json").read_bytes()
 
 
 def _cap(command, flag):
@@ -301,3 +302,18 @@ class TestEmitReport:
         )
         text = emit_report([rep], "human")
         assert "eq58" in text and "PASS" in text
+
+    def test_human_table_subtotals(self):
+        """One subtotal row per identity follows the rows: checks passed of
+        checks run, and their summed time."""
+        reports = [
+            VerificationReport("eq57", {"N": 1}, "numeric", True, cost=0.25),
+            VerificationReport("eq57", {"N": 2}, "numeric", False, {"index": "1"}, 0.5),
+            VerificationReport("eq58", {"K": 4}, "series", True, cost=0.125),
+        ]
+        lines = emit_report(reports, "human").splitlines()
+        assert [line.split() for line in lines[4:7]] == [
+            ["eq57", "subtotal", "1/2", "0.750s"],
+            ["eq58", "subtotal", "1/1", "0.125s"],
+            ["2/3", "checks", "passed"],
+        ]

@@ -6,6 +6,7 @@ from math import comb, factorial, prod
 import pytest
 
 from catalan_ode import identities
+from catalan_ode.algebraic import AlgebraicElement
 from catalan_ode.catalan import catalan_asymptotic_ratio, catalan_closed, higher_catalan
 from catalan_ode.coefficients import (
     CoeffTable,
@@ -568,7 +569,6 @@ class TestFailureWitness:
         assert rep.witness == {"index": "0", "lhs": "1", "rhs": "2"}
 
     def test_symbolic_witness_names_a_late_index(self):
-        from catalan_ode.algebraic import AlgebraicElement
         from catalan_ode.identities import _symbolic_witness
 
         c = AlgebraicElement.catalan()
@@ -652,6 +652,27 @@ class TestGridTables:
             calls.clear()
             assert all(r.passed for r in run_suite(identity, cfg))
             assert calls["conv_table", cfg.conv_max] == builds
+
+    @pytest.mark.parametrize("identity", ["thm1", "thm3"])
+    def test_run_suite_derivative_count(self, identity, monkeypatch):
+        """Each job rebuilt D^1 C .. D^N C from C, 105 derivatives per mode
+        at max-N 14; the grid's `ode_table` takes one per step, 14.  A
+        verifier called alone still takes N."""
+        counts = Counter()
+        for cls, mode in ((Series, "series"), (AlgebraicElement, "symbolic")):
+            def spy(self, derivative=cls.derivative, mode=mode):
+                counts[mode] += 1
+                return derivative(self)
+
+            monkeypatch.setattr(cls, "derivative", spy)
+        reports = run_suite(identity, RunConfig(max_n_deriv=14, series_order=22))
+        assert reports and all(r.passed for r in reports)
+        assert counts == {"series": 14, "symbolic": 14}
+        verify = getattr(identities, identities.VERIFIERS[identity])
+        for mode in ("series", "symbolic"):
+            counts.clear()
+            assert verify(8, mode, 16).passed
+            assert counts[mode] <= 8
 
     def test_run_suite_makes_one_convolution(self, monkeypatch):
         """eq64 and eq66 each made their own product of length conv-max + 1;
