@@ -1,79 +1,84 @@
-"""Exact arithmetic in the ring Z[1/d, 1/t, 1/(1-4t)][s] with s^2 = 1 - 4t.
+"""Exact arithmetic in Q(C), C = 1 + t C^2 the Catalan generating function.
 
-An element is one canonical record (P, Q, d, a, b) standing for
-(P + Q*s) / (d * t^a * u^b), where u = 1 - 4t, P and Q are integer
-polynomials (lowest degree first, no trailing zeros), d >= 1 and a, b >= 0.
-These are the only denominators the paper's two ODE families produce: the
-Catalan generating function is (1 - s)/(2t), 1/s = s/u, and d/dt adds one
-factor each of t and u.
+The conic s^2 = 1 - 4t is rational with parameter C: t = (C-1)/C^2,
+s = (2-C)/C and d/dt = C^3/(2-C) d/dC.  So every element the paper's two
+ODE families produce is p(C) C^k / (d (2-C)^m), stored as the record
+(p, k, m, d): p an integer polynomial in C (lowest degree first, no
+trailing zeros), k an integer, m >= 0 and d >= 1.
 
-Every operation ends by stripping common factors of t (while a > 0), of u
-(while b > 0; exact division, integral by Gauss's lemma) and the integer gcd
-of d and the contents of P and Q.  That form is unique, so the zero test is
-P == Q == 0 and equality is structural; no polynomial gcd is needed.
+Every operation ends by stripping the factors C of p into k, the factors
+2 - C of p while m > 0 (synthetic division by the root C = 2) and the
+integer gcd of d and p.  That form is unique, so the zero test is `not p`
+and equality is structural; no polynomial gcd is needed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import comb, gcd, lcm
 
-from .series import Series, _add, _mul, _trim, half_power_coeffs
+from .series import Series, _add, _mul, _trim, catalan_series, half_power_coeffs
 
 
-def _div_u(p) -> list[int] | None:
-    """p / (1 - 4t) if the division is exact, else None."""
+def _two_minus_c_power(j: int) -> list[int]:
+    """The coefficients of (2-C)^j in C."""
+    return [comb(j, i) * 2 ** (j - i) * (-1) ** i for i in range(j + 1)]
+
+
+def _div_two_minus_c(p) -> list[int] | None:
+    """p / (2 - C) if the division is exact, else None: synthetic division by
+    the root C = 2, whose remainder is p(2)."""
     quot, carry = [], 0
-    for c in p[:-1]:
-        carry = c + 4 * carry
-        quot.append(carry)
-    return quot if not p or p[-1] == -4 * carry else None
+    for c in reversed(p):
+        carry = c + 2 * carry
+        quot.append(-carry)
+    return None if carry else quot[-2::-1]
 
 
 class AlgebraicElement:
-    """(P + Q*s) / (d * t^a * (1-4t)^b) with s^2 = 1 - 4t; the ring where every
-    identity of the two ODE families can be checked exactly."""
+    """p(C) C^k / (d (2-C)^m); the field where every identity of the two ODE
+    families can be checked exactly."""
 
-    __slots__ = ("P", "Q", "d", "a", "b")
+    __slots__ = ("p", "k", "m", "d")
 
-    def __init__(self, P=(), Q=(), d: int = 1, a: int = 0, b: int = 0):
-        if d < 1 or a < 0 or b < 0:
-            raise ValueError("need d >= 1 and a, b >= 0")
-        P, Q = _trim(list(P)), _trim(list(Q))
-        if not P and not Q:
-            d, a, b = 1, 0, 0
-        while a and not (P and P[0]) and not (Q and Q[0]):
-            P, Q, a = P[1:], Q[1:], a - 1
-        while b and (p := _div_u(P)) is not None and (q := _div_u(Q)) is not None:
-            P, Q, b = p, q, b - 1
-        g = gcd(d, *P, *Q)
+    def __init__(self, p=(), k: int = 0, m: int = 0, d: int = 1):
+        if d < 1 or m < 0:
+            raise ValueError("need d >= 1 and m >= 0")
+        p = _trim(list(p))
+        if not p:
+            k, m, d = 0, 0, 1
+        while p and not p[0]:
+            p, k = p[1:], k + 1
+        while m and (q := _div_two_minus_c(p)) is not None:
+            p, m = q, m - 1
+        g = gcd(d, *p)
         if g > 1:
-            P, Q, d = [c // g for c in P], [c // g for c in Q], d // g
-        self.P, self.Q, self.d, self.a, self.b = tuple(P), tuple(Q), d, a, b
+            p, d = [c // g for c in p], d // g
+        self.p, self.k, self.m, self.d = tuple(p), k, m, d
 
     @staticmethod
     def from_rational(c) -> "AlgebraicElement":
         c = Fraction(c)
-        return AlgebraicElement((c.numerator,), (), c.denominator)
+        return AlgebraicElement((c.numerator,), 0, 0, c.denominator)
 
     @staticmethod
     def catalan() -> "AlgebraicElement":
-        """The Catalan generating function 2/(1+s), in normal form (1-s)/(2t)."""
-        return AlgebraicElement((1,), (-1,), 2, 1)
+        """C itself."""
+        return AlgebraicElement((1,), 1)
 
     @staticmethod
     def half_power(e: int) -> "AlgebraicElement":
-        """s^e = (1-4t)^q s^r with q, r = divmod(e, 2): (1-4t)^q in the
-        numerator for q >= 0 and in the denominator for q < 0, times s (in Q)
-        when r = 1."""
-        q, r = divmod(e, 2)
-        num, b = half_power_coeffs(2 * max(q, 0), max(q, 0)), max(-q, 0)
-        return AlgebraicElement((), num, 1, 0, b) if r else AlgebraicElement(num, (), 1, 0, b)
+        """s^e = (2-C)^e C^(-e), with (2-C)^e in p or, for e < 0, in the
+        denominator."""
+        if e >= 0:
+            return AlgebraicElement(_two_minus_c_power(e), -e)
+        return AlgebraicElement((1,), -e, -e)
 
     def is_zero(self) -> bool:
-        return not self.P and not self.Q
+        return not self.p
 
     def _key(self):
-        return self.P, self.Q, self.d, self.a, self.b
+        return self.p, self.k, self.m, self.d
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraicElement) and self._key() == other._key()
@@ -81,18 +86,15 @@ class AlgebraicElement:
     def __hash__(self):
         return hash(self._key())
 
-    def _lift(self, d: int, a: int, b: int):
-        """P and Q over the larger denominator d * t^a * u^b."""
-        if (d, a, b) == (self.d, self.a, self.b):
-            return self.P, self.Q
-        j = b - self.b
-        f = [0] * (a - self.a) + [d // self.d * c for c in half_power_coeffs(2 * j, j)]
-        return _mul(self.P, f), _mul(self.Q, f)
+    def _lift(self, k: int, m: int, d: int) -> list[int]:
+        """p over C^k / (d (2-C)^m), for k <= self.k, m >= self.m and d a
+        multiple of self.d."""
+        f = [0] * (self.k - k) + [d // self.d * c for c in _two_minus_c_power(m - self.m)]
+        return _mul(self.p, f)
 
     def __add__(self, other: "AlgebraicElement") -> "AlgebraicElement":
-        d, a, b = lcm(self.d, other.d), max(self.a, other.a), max(self.b, other.b)
-        (p1, q1), (p2, q2) = self._lift(d, a, b), other._lift(d, a, b)
-        return AlgebraicElement(_add(p1, p2), _add(q1, q2), d, a, b)
+        k, m, d = min(self.k, other.k), max(self.m, other.m), lcm(self.d, other.d)
+        return AlgebraicElement(_add(self._lift(k, m, d), other._lift(k, m, d)), k, m, d)
 
     def __neg__(self) -> "AlgebraicElement":
         return self * -1
@@ -102,59 +104,50 @@ class AlgebraicElement:
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            # a rational scales P and Q; __init__ restores the normal form
             n = other.numerator
-            return AlgebraicElement([n * c for c in self.P], [n * c for c in self.Q],
-                                    self.d * other.denominator, self.a, self.b)
-        p1, q1, p2, q2 = self.P, self.Q, other.P, other.Q
-        return AlgebraicElement(
-            _add(_mul(p1, p2), _mul(_mul(q1, q2), (1, -4))),
-            _add(_mul(p1, q2), _mul(q1, p2)),
-            self.d * other.d, self.a + other.a, self.b + other.b,
-        )
+            return AlgebraicElement([n * c for c in self.p], self.k, self.m,
+                                    self.d * other.denominator)
+        return AlgebraicElement(_mul(self.p, other.p), self.k + other.k,
+                                self.m + other.m, self.d * other.d)
 
     __rmul__ = __mul__
 
-    def valuation_bound(self) -> int:
-        """An upper bound on the index of the first nonzero Taylor coefficient
-        of a nonzero element: i - a, where t^i is the lowest power in the norm
-        (P + Qs)(P - Qs) = P^2 - Q^2 (1-4t), since P - Qs has valuation >= 0."""
+    def valuation(self) -> int:
+        """The index of the first nonzero Taylor coefficient of a nonzero
+        element: the multiplicity of the root C = 1 of p, since C - 1 = t C^2
+        and C, 2 - C are units at t = 0."""
         if self.is_zero():
             raise ValueError("zero has no valuation")
-        norm = _add(_mul(self.P, self.P), [-c for c in _mul(_mul(self.Q, self.Q), (1, -4))])
-        return next(k for k, c in enumerate(norm) if c) - self.a
+        p, v = self.p, 0
+        while not sum(p):
+            # p = (C - 1) q with q_i = -(p_0 + ... + p_i)
+            p, v = [-c for c in accumulate(p[:-1])], v + 1
+        return v
 
     def derivative(self) -> "AlgebraicElement":
-        # Over d t^(a+1) u^(b+1), with s' = -2s/u and
-        # (t^a u^b)' t u / (t^a u^b) = a u - 4 b t:
-        #   P' t u - P (a u - 4bt)   and   Q' t u - 2Qt - Q (a u - 4bt).
-        a, b = self.a, self.b
-        tu = (0, 1, -4)
-        dP = [i * c for i, c in enumerate(self.P)][1:]
-        dQ = [i * c for i, c in enumerate(self.Q)][1:]
-        return AlgebraicElement(
-            _add(_mul(dP, tu), _mul(self.P, (-a, 4 * (a + b)))),
-            _add(_mul(dQ, tu), _mul(self.Q, (-a, 4 * (a + b) - 2))),
-            self.d, a + 1, b + 1,
-        )
+        # D = C^3/(2-C) d/dC gives
+        # C^(k+2) (2-C)^(-m-2) [p' C (2-C) + k p (2-C) + m p C] / d.
+        k, m = self.k, self.m
+        dp = [i * c for i, c in enumerate(self.p)][1:]
+        return AlgebraicElement(_add(_mul(dp, (0, 2, -1)), _mul(self.p, (2 * k, m - k))),
+                                k + 2, m + 2, self.d)
 
     def to_series(self, order: int) -> Series:
-        """Taylor coefficients 0..order of the element.
-
-        Raises if the element (as a Laurent expansion at t=0) has a pole;
-        P and Q*s may each have one as long as they cancel.
-        """
-        n = order + self.a + 1
-        num = list(self.P[:n])
-        if self.Q:
-            num = _add(num, _mul(self.Q, half_power_coeffs(1, n - 1), n))
-        if self.b:
-            num = _mul(num, half_power_coeffs(-2 * self.b, n - 1), n)
-        num += [0] * (n - len(num))
-        if any(num[: self.a]):
-            raise ValueError("element not regular at origin")
-        return Series(num[self.a:], self.d)
+        """Taylor coefficients 0..order of the element: p evaluated at the
+        Catalan series, times C^(k-m) with 1/C = 1 - tC, times
+        (2-C)^(-m) C^m = s^(-m)."""
+        n = order + 1
+        cat = list(catalan_series(order).num)
+        num = []
+        for c in reversed(self.p):
+            num = _add(_mul(num, cat, n), [c])
+        e = self.k - self.m
+        step = cat if e >= 0 else [1] + [-c for c in cat[: n - 1]]
+        for _ in range(abs(e)):
+            num = _mul(num, step, n)
+        if self.m:
+            num = _mul(num, half_power_coeffs(-self.m, order), n)
+        return Series(num + [0] * (n - len(num)), self.d)
 
     def __repr__(self):
-        return (f"AlgebraicElement(P={list(self.P)}, Q={list(self.Q)}, "
-                f"d={self.d}, a={self.a}, b={self.b})")
+        return f"AlgebraicElement(p={list(self.p)}, k={self.k}, m={self.m}, d={self.d})"

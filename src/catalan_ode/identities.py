@@ -118,9 +118,9 @@ def _witness(index, lhs, rhs) -> dict[str, str]:
 
 
 def _symbolic_witness(lhs: AlgebraicElement, rhs: AlgebraicElement) -> dict[str, str]:
-    # lhs - rhs is nonzero, so it has a nonzero Taylor coefficient at an
-    # index no larger than its valuation bound.
-    order = (lhs - rhs).valuation_bound()
+    # lhs - rhs is nonzero, and its valuation is the index of its first
+    # nonzero Taylor coefficient, where lhs and rhs first differ.
+    order = (lhs - rhs).valuation()
     return _witness(*first_mismatch(lhs.to_series(order), rhs.to_series(order)))
 
 

@@ -27,11 +27,11 @@ JSON_SCHEMA_VERSION = "1"
 # defaults.  At the upper bounds each other subcommand takes under a second
 # and prints no number past Python's 4300-digit int -> str limit, and the
 # slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
-# max-N 40, K = 512, both modes with the table build, about 5.0 s and 4.2 s,
-# eq64 and eq66 at 1000 about 0.5 s together, nearly all of it the one
+# max-N 40, K = 512, both modes with the table build, about 5.1 s and 3.6 s,
+# eq64 and eq66 at 1000 about 0.5 s each alone, nearly all of it the one
 # `conv_table` they share, and `verify --id all` with every flag at its
-# bound 13.0-13.3 s (CPython 3.11, one core of a 2-vCPU VM; the same run
-# took 4.8 s when that VM once ran about 2.5 times faster).
+# bound 9.2-11.8 s (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM whose
+# speed drifts; the same run has taken 8.1 s on it).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (

@@ -12,7 +12,6 @@ from catalan_ode.series import (
     Series,
     _add,
     _mul,
-    catalan_series,
     first_mismatch,
     half_power_coeffs,
 )
@@ -20,24 +19,27 @@ from catalan_ode.series import (
 E = AlgebraicElement
 ONE = E.from_rational(1)
 TWO = E.from_rational(2)
+C = E.catalan()
 S = E.half_power(1)
-T = E((0, 1))
-U = E((1, -4))  # 1 - 4t
+T = E((-1, 1), -2)  # t = (C-1)/C^2
+U = E.half_power(2)  # 1 - 4t = (2-C)^2/C^2
+TWO_MINUS_C = E((2, -1))
 
 small_coeffs = st.lists(st.integers(-4, 4), max_size=3)
-small_elem = st.builds(E, small_coeffs, small_coeffs,
-                       st.integers(1, 6), st.integers(0, 2), st.integers(0, 2))
+small_elem = st.builds(E, small_coeffs, st.integers(-2, 2), st.integers(0, 2),
+                       st.integers(1, 6))
 nonzero_elem = small_elem.filter(lambda x: not x.is_zero())
 
-# Units of the ring as (unit, inverse) pairs: s, t, 2, 1-4t, 1+s, 1-s, s^-3,
-# -1, each paired with its inverse written out, and the same pairs swapped.
+# Units of the ring as (unit, inverse) pairs: C, 2-C, s, 2, 1-4t, 1+s = 2/C,
+# s^-3, -1, each paired with its inverse written out, and the same pairs
+# swapped.
 UNIT_FACTORS = [
+    (C, E((1,), -1)),
+    (TWO_MINUS_C, E((1,), 0, 1)),
     (S, E.half_power(-1)),
-    (T, E((1,), (), 1, 1)),
     (TWO, E.from_rational(Fraction(1, 2))),
     (U, E.half_power(-2)),
-    (ONE + S, E.catalan() * Fraction(1, 2)),
-    (ONE - S, E((1,), (1,), 4, 1)),
+    (ONE + S, C * Fraction(1, 2)),
     (E.half_power(-3), E.half_power(3)),
     (-ONE, -ONE),
 ]
@@ -49,54 +51,58 @@ unit_pair = st.lists(st.sampled_from(UNIT_FACTORS), min_size=1, max_size=4).map(
 
 
 class TestNumerators:
-    """The integer numerator polynomials P and Q of (P + Q s)/(d t^a u^b)."""
+    """The integer polynomial p of p(C) C^k / (d (2-C)^m)."""
 
     def test_trailing_zeros_stripped(self):
-        x = E([1, 2, 0, 0], [0, 0])
-        assert x.P == (1, 2) and x.Q == ()
+        x = E([1, 2, 0, 0])
+        assert x.p == (1, 2)
         assert E([0, 0]).is_zero()
 
     def test_divmod_exact(self):
-        # (1-4t)(2 + 3t^2) and (1-4t) over (1-4t): one factor u divides out
-        x = E([2, -8, 3, -12], [1, -4], 1, 0, 1)
-        assert (x.P, x.Q, x.b) == ((2, 0, 3), (1,), 0)
-        # 1 + 4t is not a multiple of 1 - 4t, so the denominator stays
-        assert E([1, 4], (), 1, 0, 1).b == 1
+        # (2-C)(3 + C^2) over (2-C): one factor 2-C divides out
+        x = E(_mul((2, -1), (3, 0, 1)), 0, 1)
+        assert (x.p, x.m) == ((3, 0, 1), 0)
+        # (2-C)^3 over (2-C)^2 keeps the one factor left in p
+        x = E(_mul(_mul((2, -1), (2, -1)), (2, -1)), 0, 2)
+        assert (x.p, x.m) == ((2, -1), 0)
+        # 2 + C is not a multiple of 2 - C, so the denominator stays
+        assert E([2, 1], 0, 1).m == 1
+        # with no denominator the factor 2-C stays in p
+        assert TWO_MINUS_C.p == (2, -1)
 
     def test_gcd_common_factor(self):
-        x = E([6, 12], [18], 30)
-        assert (x.P, x.Q, x.d) == ((1, 2), (3,), 5)
+        x = E([6, 12], 0, 0, 30)
+        assert (x.p, x.d) == ((1, 2), 5)
 
     def test_gcd_coprime_is_one(self):
-        x = E([2, 4], [6], 5)
-        assert (x.P, x.Q, x.d) == ((2, 4), (6,), 5)
+        x = E([2, 4], 0, 0, 5)
+        assert (x.p, x.d) == ((2, 4), 5)
 
     @given(small_elem, st.integers(1, 6))
     def test_gcd_divides_both(self, x, k):
-        assert gcd(x.d, *x.P, *x.Q) == 1
-        scaled = E([k * c for c in x.P], [k * c for c in x.Q], k * x.d, x.a, x.b)
+        assert gcd(x.d, *x.p) == 1
+        scaled = E([k * c for c in x.p], x.k, x.m, k * x.d)
         assert scaled == x
 
 
 class TestNormalForm:
-    """The canonical record of elements with Q = 0, the rational functions
-    P/(d t^a u^b)."""
+    """The canonical record (p, k, m, d)."""
 
     def test_canonical_form(self):
-        # 2t(1-4t) / (4 t^2 (1-4t)) reduces to 1/(2t)
-        x = E([0, 2, -8], (), 4, 2, 1)
-        assert (x.P, x.Q, x.d, x.a, x.b) == ((1,), (), 2, 1, 0)
-        assert x == E([1], (), 2, 1)
+        # 2C(2-C) / (4 C^3 (2-C)) reduces to 1/(2 C^2)
+        x = E([0, 4, -2], -3, 1, 4)
+        assert (x.p, x.k, x.m, x.d) == ((1,), -2, 0, 2)
+        assert x == E([1], -2, 0, 2)
 
     def test_zero_canonical(self):
-        x = E([0], [], 7, 3, 2)
-        assert (x.P, x.Q, x.d, x.a, x.b) == ((), (), 1, 0, 0)
+        x = E([0], 3, 2, 7)
+        assert (x.p, x.k, x.m, x.d) == ((), 0, 0, 1)
         assert x == E.from_rational(0)
 
     def test_quotient_rule(self):
         # d/dt (t / (1-4t)) = 1/(1-4t)^2
-        x = E([0, 1], (), 1, 0, 1)
-        assert x.derivative() == E([1], (), 1, 0, 2)
+        x = T * E.half_power(-2)
+        assert x.derivative() == E.half_power(-4)
 
 
 class TestAlgebraicElement:
@@ -121,10 +127,11 @@ class TestAlgebraicElement:
         assert w == x and hash(w) == hash(x)
 
     def test_derivative_of_t_squared(self):
-        assert E([0, 0, 1]).derivative() == E([0, 2])
+        assert (T * T).derivative() == TWO * T
 
     def test_derivative_of_s(self):
-        assert S.derivative() == E((), (-2,), 1, 0, 1)
+        # -2/s = -2C/(2-C)
+        assert S.derivative() == E((-2,), 1, 1)
 
     def test_derivative_of_catalan(self):
         c = E.catalan()
@@ -141,7 +148,7 @@ class TestAlgebraicElement:
         assert E.half_power(3) == U * S
 
     def test_half_power_negative(self):
-        assert E.half_power(-1) == E((), (1,), 1, 0, 1)
+        assert E.half_power(-1) == E((1,), 1, 1)
         inv = E.half_power(-1)
         assert E.half_power(-3) == inv * inv * inv
         for e in range(-9, 10):
@@ -169,27 +176,26 @@ class TestAlgebraicElement:
     @given(small_elem, st.sampled_from([0, 1, -1, 3, -3, 2**70 + 1]))
     @settings(max_examples=40)
     def test_int_scaling_is_the_ring_product(self, x, c):
-        """Scaling P and Q by an int gives the product with the ring's c."""
+        """Scaling p by an int gives the product with the ring's c."""
         assert x * c == x * E.from_rational(c) == c * x
 
     @given(small_elem, small_elem, st.integers(1, 6))
     @settings(max_examples=40)
     def test_equality_is_the_zero_test(self, x, y, k):
         """With one canonical record per element, == is the zero test of the
-        difference, for an unrelated y and for x written over k t (1-4t)."""
-        f = (0, k, -4 * k)
-        same = E(_mul(x.P, f), _mul(x.Q, f), k * x.d, x.a + 1, x.b + 1)
+        difference, for an unrelated y and for x written over k C^-1 (2-C)."""
+        same = E(_mul(x.p, (0, 2 * k, -k)), x.k - 1, x.m + 1, k * x.d)
         assert x == same
         for z in (y, same):
             assert (x == z) is (x - z).is_zero()
 
-    @given(small_elem, small_coeffs, small_coeffs)
+    @given(small_elem, small_coeffs)
     @settings(max_examples=40)
-    def test_sum_over_a_shared_denominator(self, x, p, q):
-        """Operands that already share d, a and b add their numerators."""
-        y = E(p, q, x.d, x.a, x.b)
-        assume((y.d, y.a, y.b) == (x.d, x.a, x.b))
-        assert x + y == E(_add(x.P, y.P), _add(x.Q, y.Q), x.d, x.a, x.b)
+    def test_sum_over_a_shared_denominator(self, x, p):
+        """Operands that already share k, m and d add their numerators."""
+        y = E(p, x.k, x.m, x.d)
+        assume((y.k, y.m, y.d) == (x.k, x.m, x.d))
+        assert x + y == E(_add(x.p, y.p), x.k, x.m, x.d)
 
     @given(small_elem, small_elem)
     @settings(max_examples=40)
@@ -201,23 +207,27 @@ class TestAlgebraicElement:
     def test_distributivity(self, x, y, z):
         assert (x * (y + z) - (x * y + x * z)).is_zero()
 
-    @given(nonzero_elem)
+    @given(nonzero_elem, st.integers(0, 3))
     @settings(max_examples=40)
-    def test_valuation_bound(self, x):
-        k = x.valuation_bound()
-        try:
-            sx = x.to_series(max(k, 0))
-        except ValueError:
-            return  # only regular elements bridge
-        assert any(sx.coeffs[: k + 1])
+    def test_valuation_is_exact(self, x, j):
+        """Coefficients 0..v-1 of a nonzero element vanish and coefficient v
+        does not, also for x times t^j, whose valuation is v + j."""
+        x = x * reduce(mul, [T] * j, ONE)
+        v = x.valuation()
+        sx = x.to_series(v)
+        assert not any(sx.num[:v]) and sx.num[v]
+
+    def test_valuation_of_zero(self):
+        with pytest.raises(ValueError, match="no valuation"):
+            E().valuation()
 
 
-def _evaluate(x: AlgebraicElement, t: Fraction, s: Fraction) -> Fraction:
-    """x at a point t where sqrt(1-4t) = s is rational."""
-    def poly(p):
-        return sum((c * t**i for i, c in enumerate(p)), Fraction(0))
-
-    return (poly(x.P) + poly(x.Q) * s) / (x.d * t**x.a * (s * s) ** x.b)
+def _evaluate(x: AlgebraicElement, r: Fraction) -> Fraction:
+    """x at the point t = (1 - r^2)/4 where sqrt(1-4t) = r, so that
+    C = 2/(1 + r)."""
+    c = 2 / (1 + r)
+    return sum((a * c**i for i, a in enumerate(x.p)), Fraction(0)) * c**x.k / (
+        x.d * (2 - c) ** x.m)
 
 
 @pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)])
@@ -231,7 +241,7 @@ def test_catalan_derivatives_match_sympy(r):
         x = x.derivative()
         expected = sympy.diff(closed, t, n).subs(t, sympy.Rational(t0.numerator, t0.denominator))
         assert expected.is_Rational
-        assert _evaluate(x, t0, r) == Fraction(int(expected.p), int(expected.q))
+        assert _evaluate(x, r) == Fraction(int(expected.p), int(expected.q))
 
 
 class TestToSeries:
@@ -240,41 +250,27 @@ class TestToSeries:
 
     def test_s_expansion(self):
         assert S.to_series(2) == Series(half_power_coeffs(1, 2))
+        for e in range(-9, 10):
+            assert E.half_power(e).to_series(12) == Series(half_power_coeffs(e, 12)), e
 
     def test_geometric_expansion(self):
         assert E.half_power(-2).to_series(2) == Series([1, 4, 16])
 
     def test_denominator_d(self):
         # (1 + s)/3 = (2 - 2t - 2t^2 - ...)/3
-        assert E([1], [1], 3).to_series(2) == Series([Fraction(2, 3), Fraction(-2, 3),
-                                                      Fraction(-2, 3)])
-
-    def test_pole_detected(self):
-        x = E([1], (), 1, 1)  # 1/t
-        with pytest.raises(ValueError, match="not regular at origin"):
-            x.to_series(4)
-
-    def test_cancelling_poles_are_fine(self):
-        # (1 - s)/(2t) has a pole in each part that cancels in the sum
-        assert E.catalan().to_series(6) == catalan_series(6)
+        assert ((ONE + S) * Fraction(1, 3)).to_series(2) == Series(
+            [Fraction(2, 3), Fraction(-2, 3), Fraction(-2, 3)])
 
     @given(small_elem, small_elem)
     @settings(max_examples=25)
     def test_bridge_is_multiplicative(self, x, y):
         k = 10
-        try:
-            sx, sy = x.to_series(k), y.to_series(k)
-        except ValueError:
-            return  # only regular elements bridge
+        sx, sy = x.to_series(k), y.to_series(k)
         assert first_mismatch((x * y).to_series(k), sx * sy) is None
 
     @given(small_elem)
     @settings(max_examples=25)
     def test_bridge_commutes_with_derivative(self, x):
         k = 10
-        try:
-            sx = x.to_series(k)
-            dx = x.derivative().to_series(k - 1)
-        except ValueError:
-            return
+        sx, dx = x.to_series(k), x.derivative().to_series(k - 1)
         assert first_mismatch(sx.derivative(), dx) is None

@@ -572,10 +572,28 @@ class TestFailureWitness:
         from catalan_ode.identities import _symbolic_witness
 
         c = AlgebraicElement.catalan()
-        t30 = AlgebraicElement([0] * 30 + [1])
+        # t^30 = (C-1)^30 C^-60
+        t30 = AlgebraicElement([comb(30, i) * (-1) ** (30 - i) for i in range(31)], -60)
         witness = _symbolic_witness(c, c + t30)
         c30 = catalan_closed(30)
         assert witness == {"index": "30", "lhs": str(c30), "rhs": str(c30 + 1)}
+
+    @pytest.mark.parametrize("identity,entries", [
+        ("thm1", (1,)), ("thm1", (20,)), ("thm1", (40,)), ("thm1", (1, 20, 40)),
+        ("thm3", (0,)), ("thm3", (10,)), ("thm3", (20,)), ("thm3", (0, 10, 20)),
+    ])
+    def test_deep_row_witness_parity(self, identity, entries):
+        """Entries of row 40 of the a-table (thm1) or the b-table (thm3), each
+        shifted by 7, fail in both modes at K = 48 with the same witness."""
+        if identity == "thm1":
+            bad, verify = a_table_recurrence(40), verify_thm1
+        else:
+            bad, verify = b_table_recurrence(40), verify_thm3
+        for i in entries:
+            bad = _shifted(bad, 40, i, 7)
+        series, symbolic = (verify(40, mode, 48, bad) for mode in ("series", "symbolic"))
+        assert not series.passed and not symbolic.passed
+        assert series.witness == symbolic.witness
 
 
 class TestGridTables:
