@@ -4,12 +4,15 @@ The conic s^2 = 1 - 4t is rational with parameter C: t = (C-1)/C^2,
 s = (2-C)/C and d/dt = C^3/(2-C) d/dC.  So every element the paper's two
 ODE families produce is p(C) C^k / (d (2-C)^m), stored as the record
 (p, k, m, d): p an integer polynomial in C (lowest degree first, no
-trailing zeros), k an integer, m >= 0 and d >= 1.
+trailing zeros), k and m integers and d >= 1.  A power s^e is the record
+((1,), -e, -e), so multiplying by it shifts k and m and touches no
+coefficient.
 
 Every operation ends by stripping the factors C of p into k, the factors
-2 - C of p while m > 0 (synthetic division by the root C = 2) and the
-integer gcd of d and p.  That form is unique, so the zero test is `not p`
-and equality is structural; no polynomial gcd is needed.
+2 - C of p into m (synthetic division by the root C = 2, while p(2) = 0)
+and the integer gcd of d and p.  That form, p(0) != 0, p(2) != 0 and
+gcd(d, content p) = 1, is unique, so the zero test is `not p` and equality
+is structural; no polynomial gcd is needed.
 """
 from __future__ import annotations
 
@@ -42,14 +45,14 @@ class AlgebraicElement:
     __slots__ = ("p", "k", "m", "d")
 
     def __init__(self, p=(), k: int = 0, m: int = 0, d: int = 1):
-        if d < 1 or m < 0:
-            raise ValueError("need d >= 1 and m >= 0")
+        if d < 1:
+            raise ValueError("need d >= 1")
         p = _trim(list(p))
         if not p:
             k, m, d = 0, 0, 1
         while p and not p[0]:
             p, k = p[1:], k + 1
-        while m and (q := _div_two_minus_c(p)) is not None:
+        while p and (q := _div_two_minus_c(p)) is not None:
             p, m = q, m - 1
         g = gcd(d, *p)
         if g > 1:
@@ -68,10 +71,7 @@ class AlgebraicElement:
 
     @staticmethod
     def half_power(e: int) -> "AlgebraicElement":
-        """s^e = (2-C)^e C^(-e), with (2-C)^e in p or, for e < 0, in the
-        denominator."""
-        if e >= 0:
-            return AlgebraicElement(_two_minus_c_power(e), -e)
+        """s^e = (2-C)^e C^(-e), the record ((1,), -e, -e)."""
         return AlgebraicElement((1,), -e, -e)
 
     def is_zero(self) -> bool:

@@ -19,30 +19,43 @@ the comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to
 40, and of the 40-digit `Decimal` asymptotic ratio with the band
 (0.99, 1.01).
 
-thm1 and thm3 each have one body for both mechanisms: `_mechanism` supplies
-C and e -> s^e, s = sqrt(1-4t), as truncated series or as exact ring
-elements, and `_compare` turns the two sides into a report; ring elements
-are compared by their canonical records, and lhs - rhs is built only for
-a failure.  A failing report's witness holds exact decimal strings of any
-length.  `VERIFIERS` maps every identity id to its verifier; the runner
-calls and times them.
+thm1 and thm3 are read through the algebra of C, in both mechanisms
+(truncated series, or exact ring elements), with s = sqrt(1-4t):
+
+* C = 1 + t C^2 gives C^(r+2) = (C^(r+1) - C^r)/t, so each power of C on
+  the series side is one subtraction and one shift of the last two, and no
+  product;
+* s C = 2 - C turns the thm1 sum s^(-2N) sum_i a_i(N) (sC)^i C into
+  (1-4t)^(-N) sum_k c_k C^(k+1), with the integer polynomial
+  c = sum_i a_i(N) (2-C)^i (`_row_in_c`);
+* thm3 is taken by Horner in u = 1-4t, and a factor s^e is applied by
+  `_s_power_times`: in the ring a shift of the record, on series a scan
+  of the coefficients for each factor 1-4t or 1/(1-4t), and one dense
+  product for the s of odd N.
+
+Every step is exact and linear in the a/b row, so the compared elements do
+not depend on how they were built.  `_compare` turns the two sides into a
+report; ring elements are compared by their canonical records, and
+lhs - rhs is built only for a failure.  A failing report's witness holds
+exact decimal strings of any length.  `VERIFIERS` maps every identity id to
+its verifier; the runner calls and times them.
 
 The work a grid of jobs shares is built once per grid, as a table: for thm1
-and thm3, `ode_table`, two ladders up to the largest N in one mechanism,
-the powers (sC)^i C or C^(i+1) and the derivatives D^k C, one product and
-one derivative per step; for thm2 and thm4, `number_row`, the truncated
-products of the s-powers with the closed-form inputs for every n of one row
-N; for eq64 and eq66, `conv_table`, the one convolution of the weights with
-the Catalan inputs, from which eq66 drops its m = 0 and m = n terms.  The
-runner builds each table before the checks and passes it as the
-verifier's last argument; a verifier called alone builds its own, so a job
-reads the same elements either way.
+and thm3 together, `ode_table`, the powers C^(k+1) and the derivatives
+D^k C up to the largest N in one mechanism; for thm2 and thm4,
+`number_row`, the truncated products of the s-powers with the closed-form
+inputs for every n of one row N; for eq64 and eq66, `conv_table`, the one
+convolution of the weights with the Catalan inputs, from which eq66 drops
+its m = 0 and m = n terms.  The runner builds each table before the checks
+and passes it as the verifier's last argument; a verifier called alone
+builds its own, so a job reads the same elements either way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, lcm, perm
 
 from .algebraic import AlgebraicElement
@@ -124,19 +137,17 @@ def _symbolic_witness(lhs: AlgebraicElement, rhs: AlgebraicElement) -> dict[str,
     return _witness(*first_mismatch(lhs.to_series(order), rhs.to_series(order)))
 
 
-def _mechanism(N: int, mode: str, order: int):
-    """(C, e -> s^e, report parameters) of one mechanism, s = sqrt(1-4t):
-    truncated series at order K, or the exact ring."""
+def _parameters(N: int, mode: str, order: int) -> dict[str, int]:
+    """The report parameters of a thm1/thm3 check in one mechanism: truncated
+    series at order K, or the exact ring."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode == "series":
         if order < N + 8:
             raise ValueError("series order must be at least N + 8")
-        return (catalan_series(order),
-                lambda e: Series(half_power_coeffs(e, order)),
-                {"N": N, "K": order})
+        return {"N": N, "K": order}
     if mode == "symbolic":
-        return AlgebraicElement.catalan(), AlgebraicElement.half_power, {"N": N}
+        return {"N": N}
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -150,40 +161,83 @@ def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
     return _report(identity, parameters, mode, None if lhs == rhs else _symbolic_witness(lhs, rhs))
 
 
-def ode_table(identity: str, N: int, mode: str, order: int = 64) -> tuple[list, list]:
-    """The elements thm1 or thm3 reads for every row up to N, in one
-    mechanism, as two ladders (powers, derivs): the geometric ladder
-    powers = [C X^i for i = 0..N], with X = sC for thm1 and X = C for thm3,
-    so entry i is (sC)^i C or C^(i+1), and derivs = [D^k C for k = 0..N].
-    It takes N products, one more for sC, and N derivatives."""
-    cat, half_power, _ = _mechanism(N, mode, order)
-    return _ladder(identity, N, cat, half_power)
-
-
-def _ladder(identity: str, N: int, cat, half_power) -> tuple[list, list]:
-    """`ode_table` from the C and e -> s^e of its mechanism."""
-    step = half_power(1) * cat if identity == "thm1" else cat
-    powers, derivs = [cat], [cat]
+def ode_table(N: int, mode: str, order: int = 64) -> tuple[list, list]:
+    """The elements thm1 and thm3 read for every row up to N, in one
+    mechanism: powers = [C^(k+1) for k = 0..N] and derivs = [D^k C for
+    k = 0..N], the latter by N derivatives.  Ring powers are the records
+    ((1,), k + 1).  Series powers come from the Catalan series to order
+    K + N, one subtraction and shift per step, each trimmed to K; that
+    series is first checked against s C = 2 - C to order K + N, the one
+    product the table takes, and ArithmeticError is raised if it fails."""
+    _parameters(N, mode, order)
+    if mode == "symbolic":
+        powers = [AlgebraicElement((1,), k + 1) for k in range(N + 1)]
+    else:
+        cat = catalan_series(order + N)
+        if Series(half_power_coeffs(1, order + N)) * cat != Series(
+                [2 - cat.num[0]] + [-c for c in cat.num[1:]]):
+            raise ArithmeticError("the Catalan series fails s C = 2 - C")
+        ladder = [[1] + [0] * (order + N), list(cat.num)]
+        for _ in range(N):
+            # C^(r+2) = (C^(r+1) - C^r)/t
+            ladder.append([x - y for x, y in zip(ladder[-1][1:], ladder[-2][1:])])
+        powers = [Series(p[: order + 1]) for p in ladder[1:]]
+    derivs = [powers[0]]
     for _ in range(N):
-        powers.append(powers[-1] * step)
         derivs.append(derivs[-1].derivative())
     return powers, derivs
 
 
+def _s_power_times(e: int, y):
+    """s^e y, for a ring element or a series y: in the ring a shift of y's
+    record; on a series of even e, |e|/2 scans of the coefficients,
+    y_n - 4 y_(n-1) for each factor 1-4t and y_n + 4 y_(n-1) for each
+    1/(1-4t); of odd e, one dense product."""
+    if isinstance(y, AlgebraicElement):
+        return AlgebraicElement.half_power(e) * y
+    if e % 2:
+        return Series(half_power_coeffs(e, y.order)) * y
+    num = y.num
+    for _ in range(abs(e) // 2):
+        num = ([x - 4 * w for x, w in zip(num, (0, *num))] if e > 0
+               else list(accumulate(num, lambda w, x: x + 4 * w)))
+    return Series(num, y.den)
+
+
+def _row_in_c(a_table: CoeffTable, N: int) -> list[int]:
+    """The integer polynomial c = sum_i a_i(N) (2-C)^i in C, by Horner in
+    2 - C; since s C = 2 - C, sum_i a_i(N) (sC)^i C = sum_k c_k C^(k+1)."""
+    c = []
+    for i in range(N, -1, -1):
+        # c <- c (2 - C) + a_i, with a_0 = 0
+        c = [2 * x - w for x, w in zip(c + [0], [0] + c)]
+        c[0] += a_table.entry(i, N) if i else 0
+    return c
+
+
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None,
-                ladders: tuple[list, list] | None = None) -> VerificationReport:
+                ode: tuple[list, list] | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
     a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
-    the sum is taken as s^(-2N) sum_i a_i(N) (sC)^i C.  D^N C and (sC)^i C
-    are read from `ladders`, the thm1 `ode_table` of this mode and order."""
+    the sum is taken as (1-4t)^(-N) sum_k c_k C^(k+1), with c from
+    `_row_in_c`: in the ring the one record (c, 2N + 1, 2N), on series a
+    combination of the powers of C to order K - N, the order of D^N C,
+    then N scans.  D^N C and the powers are read from `ode`, the
+    `ode_table` of this mode and order."""
     N = n_deriv
-    cat, half_power, params = _mechanism(N, mode, order)
+    params = _parameters(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
-    powers, derivs = ladders if ladders is not None else _ladder("thm1", N, cat, half_power)
-    terms = [table.entry(i, N) * powers[i] for i in range(1, N + 1)]
-    return _compare("thm1", params, mode, derivs[N],
-                    half_power(-2 * N) * sum(terms[1:], terms[0]))
+    powers, derivs = ode if ode is not None else ode_table(N, mode, order)
+    c = _row_in_c(table, N)
+    if mode == "symbolic":
+        rhs = AlgebraicElement(c, 2 * N + 1, 2 * N)
+    else:
+        x = [0] * (order - N + 1)
+        for ck, p in zip(c, powers):
+            x = [w + ck * y for w, y in zip(x, p.num)]
+        rhs = _s_power_times(-2 * N, Series(x))
+    return _compare("thm1", params, mode, derivs[N], rhs)
 
 
 def number_row(identity: str, N: int, nmax: int) -> list[list[int]]:
@@ -226,20 +280,22 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None,
-                ladders: tuple[list, list] | None = None) -> VerificationReport:
+                ode: tuple[list, list] | None = None) -> VerificationReport:
     """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), taken as
-    s^(N mod 2) sum_i b_i(N) (1-4t)^(N//2-i) C^((N-i)), where each (1-4t)
-    power is a polynomial and the left operand of its product; C^(N+1) and
-    C^((N-i)) = D^(N-i) C are read from `ladders`, the thm3 `ode_table` of
-    this mode and order."""
+    s^(N mod 2) y by Horner in u = 1-4t: y = 0, then
+    y <- u y + b_i(N) D^(N-i) C for i = 0..N//2.  C^(N+1) and
+    C^((N-i)) = D^(N-i) C are read from `ode`, the `ode_table` of this mode
+    and order."""
     N = n_pow
-    cat, half_power, params = _mechanism(N, mode, order)
+    params = _parameters(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
-    powers, derivs = ladders if ladders is not None else _ladder("thm3", N, cat, half_power)
-    terms = [table.entry(i, N) * (half_power(2 * (N // 2 - i)) * derivs[N - i])
-             for i in range(0, N // 2 + 1)]
-    return _compare("thm3", params, mode, factorial(N) * powers[N],
-                    half_power(N % 2) * sum(terms[1:], terms[0]))
+    powers, derivs = ode if ode is not None else ode_table(N, mode, order)
+    y = table.entry(0, N) * derivs[N]
+    for i in range(1, N // 2 + 1):
+        y = _s_power_times(2, y) + table.entry(i, N) * derivs[N - i]
+    if N % 2:
+        y = _s_power_times(1, y)
+    return _compare("thm3", params, mode, factorial(N) * powers[N], y)
 
 
 def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,

@@ -27,11 +27,11 @@ JSON_SCHEMA_VERSION = "1"
 # defaults.  At the upper bounds each other subcommand takes under a second
 # and prints no number past Python's 4300-digit int -> str limit, and the
 # slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
-# max-N 40, K = 512, both modes with the table build, about 5.1 s and 3.6 s,
-# eq64 and eq66 at 1000 about 0.5 s each alone, nearly all of it the one
-# `conv_table` they share, and `verify --id all` with every flag at its
-# bound 9.2-11.8 s (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM whose
-# speed drifts; the same run has taken 8.1 s on it).
+# max-N 40, K = 512, both modes with the table build, about 0.24 s and
+# 1.3 s, most of the latter the dense product by s of the odd rows, eq64 and
+# eq66 at 1000 about 0.5 s each alone, nearly all of it the one `conv_table`
+# they share, and `verify --id all` with every flag at its bound 2.9-3.0 s
+# (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM whose speed drifts).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (
@@ -84,10 +84,10 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     """(identity, verifier arguments) of every check of one identity, or of
     all of them.  thm1-thm4 and eq57 share the one a and b table built here.
     Each selected grid's table is built here once and rides in its jobs as
-    the last argument: one thm1 or thm3 `ode_table` per mode (its powers of
-    C and its derivatives D^k C, so a grid takes max-N derivatives, not one
-    ladder of them per job), one thm2 or thm4 `number_row` per row N, and
-    one `conv_table` for eq64 and eq66.
+    the last argument: one `ode_table` per mode that thm1 and thm3 share
+    (its powers of C and its derivatives D^k C, so both grids take max-N
+    derivatives in all, not one ladder of them per job), one thm2 or thm4
+    `number_row` per row N, and one `conv_table` for eq64 and eq66.
     An unselected identity builds nothing, so the order rule of thm1/thm3
     binds only when they run."""
     if identity != "all" and identity not in ids.VERIFIERS:
@@ -98,6 +98,9 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     number_rows = range(1, min(cfg.max_n_deriv, NUMBER_MAX_N) + 1)
     coeffs = {"thm1": a_tab, "thm2": a_tab, "thm3": b_tab, "thm4": b_tab}
     conv = ids.conv_table(cfg.conv_max) if identity in ("all", "eq64", "eq66") else None
+    ode = ({mode: ids.ode_table(cfg.max_n_deriv, mode, cfg.series_order)
+            for mode in ("series", "symbolic")}
+           if identity in ("all", "thm1", "thm3") else None)
     fixed = {
         "eq57": [(N, a_tab, b_tab) for N in rows],
         "eq58": [(cfg.series_order,)],
@@ -110,10 +113,8 @@ def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     jobs = []
     for ident in (IDENTITY_IDS if identity == "all" else (identity,)):
         if ident in ("thm1", "thm3"):
-            for mode in ("series", "symbolic"):
-                ladders = ids.ode_table(ident, cfg.max_n_deriv, mode, cfg.series_order)
-                jobs += [(ident, (N, mode, cfg.series_order, coeffs[ident], ladders))
-                         for N in rows]
+            jobs += [(ident, (N, mode, cfg.series_order, coeffs[ident], ode[mode]))
+                     for mode in ("series", "symbolic") for N in rows]
         elif ident in ("thm2", "thm4"):
             for N in number_rows:
                 row = ids.number_row(ident, N, cfg.max_index)

@@ -26,7 +26,7 @@ U = E.half_power(2)  # 1 - 4t = (2-C)^2/C^2
 TWO_MINUS_C = E((2, -1))
 
 small_coeffs = st.lists(st.integers(-4, 4), max_size=3)
-small_elem = st.builds(E, small_coeffs, st.integers(-2, 2), st.integers(0, 2),
+small_elem = st.builds(E, small_coeffs, st.integers(-2, 2), st.integers(-2, 2),
                        st.integers(1, 6))
 nonzero_elem = small_elem.filter(lambda x: not x.is_zero())
 
@@ -62,13 +62,22 @@ class TestNumerators:
         # (2-C)(3 + C^2) over (2-C): one factor 2-C divides out
         x = E(_mul((2, -1), (3, 0, 1)), 0, 1)
         assert (x.p, x.m) == ((3, 0, 1), 0)
-        # (2-C)^3 over (2-C)^2 keeps the one factor left in p
+        # with no denominator the factor 2-C goes into m as m = -1
+        x = E(_mul((2, -1), (3, 0, 1)))
+        assert (x.p, x.m) == ((3, 0, 1), -1)
+        # (2-C)^3 over (2-C)^2 leaves the one factor in m
         x = E(_mul(_mul((2, -1), (2, -1)), (2, -1)), 0, 2)
-        assert (x.p, x.m) == ((2, -1), 0)
+        assert (x.p, x.m) == ((1,), -1)
         # 2 + C is not a multiple of 2 - C, so the denominator stays
         assert E([2, 1], 0, 1).m == 1
-        # with no denominator the factor 2-C stays in p
-        assert TWO_MINUS_C.p == (2, -1)
+        assert (TWO_MINUS_C.p, TWO_MINUS_C.m) == ((1,), -1)
+
+    @given(nonzero_elem)
+    def test_canonical_numerator(self, x):
+        """p(0) != 0, p(2) != 0 and gcd(d, content p) = 1."""
+        assert x.p[0] != 0
+        assert sum(c * 2**i for i, c in enumerate(x.p)) != 0
+        assert gcd(x.d, *x.p) == 1
 
     def test_gcd_common_factor(self):
         x = E([6, 12], 0, 0, 30)
@@ -146,6 +155,11 @@ class TestAlgebraicElement:
     def test_half_power_even(self):
         assert E.half_power(2) == U
         assert E.half_power(3) == U * S
+
+    @given(st.integers(-40, 40))
+    def test_half_power_is_a_record_shift(self, e):
+        x = E.half_power(e)
+        assert (x.p, x.k, x.m, x.d) == ((1,), -e, -e, 1)
 
     def test_half_power_negative(self):
         assert E.half_power(-1) == E((1,), 1, 1)

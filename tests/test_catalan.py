@@ -59,8 +59,8 @@ def test_higher_order_constant_term():
 
 
 def test_higher_order_matches_series_powers():
-    # the powers ladder of the thm3 table holds C^1..C^5 at order 12
-    powers, _ = ode_table("thm3", 4, "series", 12)
+    # the powers of the series ode_table are C^1..C^5 at order 12
+    powers, _ = ode_table(4, "series", 12)
     for r, power in enumerate(powers, 1):
         for n in range(13):
             assert higher_catalan(r, n) == power.coeff(n)

@@ -31,6 +31,8 @@ GOLDEN_FLAGS = {
                       "--terms-eq62", "1", "--conv-max", "2", "--max-n", "1"],
     "numeric_deep": ["--max-N", "6", "--order", "14", "--max-n", "40",
                      "--terms-eq59", "2000", "--terms-eq62", "3000", "--conv-max", "400"],
+    # thm1/thm3 rows up to 40, where the other golden sets stop at 14
+    "deep_rows": ["--max-N", "40", "--order", "48"],
 }
 
 

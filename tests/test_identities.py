@@ -36,7 +36,7 @@ from catalan_ode.identities import (
     verify_thm4,
 )
 from catalan_ode.runner import BOUNDS, NUMBER_MAX_N, RunConfig, _jobs, run_suite
-from catalan_ode.series import Series, sqrt_one_plus_series
+from catalan_ode.series import Series, catalan_series, sqrt_one_plus_series
 
 
 class TestForwardOde:
@@ -598,51 +598,40 @@ class TestFailureWitness:
 
 class TestGridTables:
     """The runner builds each grid's table once and hands it to every job:
-    one `ode_table` per thm1/thm3 mode, one `number_row` per thm2/thm4 row,
-    one `conv_table` for eq64 and eq66."""
+    one `ode_table` per mode for thm1 and thm3, one `number_row` per
+    thm2/thm4 row, one `conv_table` for eq64 and eq66."""
 
-    @staticmethod
-    def _kernel_work(monkeypatch, identity, max_n):
-        """Work of the series products of run_suite(identity) at K = 64:
-        the sum over every product of two series of the nonzero entries of
-        the left operand times the length of the right one."""
-        work = 0
+    @pytest.mark.parametrize("identity", ["thm1", "thm3"])
+    @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
+    def test_series_products(self, identity, max_n, monkeypatch):
+        """The series grid's products of two series: one, the ode_table's
+        s C = 2 - C guard, whatever max-N is, and for thm3 one more per odd
+        N, the s of s^(N mod 2).  A ladder of powers built by products took
+        max-N more, and s^(-2N) in each thm1 job one more per job."""
+        products = 0
         mul = Series.__mul__
 
         def spy(self, other):
-            nonlocal work
-            if isinstance(other, Series):
-                work += sum(1 for c in self.num if c) * len(other.num)
+            nonlocal products
+            products += isinstance(other, Series)
             return mul(self, other)
 
-        with monkeypatch.context() as m:
-            m.setattr(Series, "__mul__", spy)
-            reports = run_suite(identity, RunConfig(max_n_deriv=max_n, series_order=64))
+        monkeypatch.setattr(Series, "__mul__", spy)
+        reports = run_suite(identity, RunConfig(max_n_deriv=max_n, series_order=max_n + 32))
         assert reports and all(r.passed for r in reports)
-        return work
-
-    @pytest.mark.parametrize("identity", ["thm1", "thm3"])
-    def test_series_kernel_work(self, identity, monkeypatch):
-        """Rebuilding the powers of C in every job made 2.4-2.5 M at max-N 32,
-        3.5-3.8 times the work at max-N 16; one ladder per grid makes about
-        0.27 M, growing about linearly in max-N."""
-        small = self._kernel_work(monkeypatch, identity, 16)
-        large = self._kernel_work(monkeypatch, identity, 32)
-        assert large <= 500_000
-        assert large <= 2.5 * small
+        assert products == 1 + (identity == "thm3") * (max_n + 1) // 2
 
     def test_run_suite_builds_each_table_once(self, monkeypatch):
-        """`_ladder` and `conv_table` also build the table of a verifier
+        """`ode_table` and `conv_table` also build the table of a verifier
         called alone, so a job without its table would show here as one
-        more build."""
+        more build; thm1 and thm3 share one `ode_table` per mode."""
         calls = Counter()
-        ladder, number_row = identities._ladder, identities.number_row
+        ode_table, number_row = identities.ode_table, identities.number_row
         conv_table = identities.conv_table
 
-        def ladder_spy(identity, N, cat, half_power):
-            mode = "series" if isinstance(cat, Series) else "symbolic"
-            calls["ladder", identity, N, mode] += 1
-            return ladder(identity, N, cat, half_power)
+        def ode_spy(N, mode, order):
+            calls["ode_table", N, mode] += 1
+            return ode_table(N, mode, order)
 
         def row_spy(identity, N, nmax):
             calls["number_row", identity, N, nmax] += 1
@@ -652,15 +641,14 @@ class TestGridTables:
             calls["conv_table", nmax] += 1
             return conv_table(nmax)
 
-        monkeypatch.setattr(identities, "_ladder", ladder_spy)
+        monkeypatch.setattr(identities, "ode_table", ode_spy)
         monkeypatch.setattr(identities, "number_row", row_spy)
         monkeypatch.setattr(identities, "conv_table", conv_spy)
         cfg = RunConfig()
         reports = run_suite("all", cfg)
         assert all(r.passed for r in reports)
         expected = Counter(
-            [("ladder", ident, cfg.max_n_deriv, mode)
-             for ident in ("thm1", "thm3") for mode in ("series", "symbolic")]
+            [("ode_table", cfg.max_n_deriv, mode) for mode in ("series", "symbolic")]
             + [("number_row", ident, N, cfg.max_index)
                for ident in ("thm2", "thm4") for N in range(1, NUMBER_MAX_N + 1)]
             + [("conv_table", cfg.conv_max)]
@@ -670,6 +658,10 @@ class TestGridTables:
             calls.clear()
             assert all(r.passed for r in run_suite(identity, cfg))
             assert calls["conv_table", cfg.conv_max] == builds
+        calls.clear()
+        assert all(r.passed for r in run_suite("thm3", cfg))
+        assert calls == {("ode_table", cfg.max_n_deriv, mode): 1
+                         for mode in ("series", "symbolic")}
 
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     def test_run_suite_derivative_count(self, identity, monkeypatch):
@@ -754,3 +746,51 @@ class TestGridTables:
             shared = verify(*args)
             assert shared == verify(cfg.conv_max)
             assert shared.passed is (j is None)
+
+
+class TestAlgebraOfC:
+    """thm1/thm3 read through C = 1 + t C^2 and s C = 2 - C."""
+
+    @pytest.mark.parametrize("order", [9, 22, 64])
+    def test_series_powers_without_products(self, order):
+        """The ode_table's powers, a subtraction and a shift per step, are
+        C^(k+1) by repeated products and by the closed form C_n^(k+1)."""
+        N = min(16, order - 8)
+        powers, derivs = identities.ode_table(N, "series", order)
+        cat = catalan_series(order)
+        power = cat
+        for k, entry in enumerate(powers):
+            assert entry == power
+            assert list(entry.num) == [higher_catalan(k + 1, n) for n in range(order + 1)]
+            power = power * cat
+        assert derivs[0] == cat
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_row_in_c_is_the_ring_sum(self, shift):
+        """c(C) = sum_i a_i(N) (sC)^i in the ring, for rows 1..40, also
+        with the last entry of each row shifted."""
+        a = a_table_recurrence(40)
+        sc = AlgebraicElement.half_power(1) * AlgebraicElement.catalan()
+        for N in range(1, 41):
+            row = _shifted(a, N, N) if shift else a
+            ring = sum((row.entry(i, N) * prod([sc] * i, start=AlgebraicElement.from_rational(1))
+                        for i in range(1, N + 1)), AlgebraicElement())
+            assert AlgebraicElement(identities._row_in_c(row, N)) == ring
+
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_guard_rejects_a_wrong_catalan_series(self, n, monkeypatch):
+        """One shifted coefficient of the Catalan series makes the series
+        ode_table raise, so the ladder cannot build on a broken kernel."""
+        true = identities.catalan_series
+
+        def shifted(order):
+            num = list(true(order).num)
+            num[n] += 1
+            return Series(num)
+
+        monkeypatch.setattr(identities, "catalan_series", shifted)
+        with pytest.raises(ArithmeticError, match="s C = 2 - C"):
+            identities.ode_table(8, "series", 32)
+        with pytest.raises(ArithmeticError):
+            verify_thm3(8, "series", 32)
+        assert identities.ode_table(8, "symbolic")[0][8] == AlgebraicElement((1,), 9)
