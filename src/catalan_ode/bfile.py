@@ -5,12 +5,9 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
-
-class BFileEntry(NamedTuple):
-    index: int
-    value: int
+BFileEntry = namedtuple("BFileEntry", "index value")
 
 
 def parse_bfile(content: str) -> list[BFileEntry]:

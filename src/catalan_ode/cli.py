@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .bfile import parse_bfile
 from .catalan import catalan_closed, higher_catalan
@@ -49,7 +48,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    cfg = RunConfig(**{dest: getattr(args, dest)
+                       for cmd, _, dest, _, _ in BOUNDS if cmd == "verify"})
     try:
         cfg.validate(args.identity)
     except ValueError as exc:

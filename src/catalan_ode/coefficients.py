@@ -11,17 +11,18 @@ nested weighted sums S_{N,j}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
 from .exact import double_factorial_odd
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    family: str  # "a" or "b"
-    rows: tuple[tuple[int, ...], ...]  # rows[N-1] is row N
+class CoeffTable(namedtuple("CoeffTable", "family rows")):
+    """Rows 1..max_n of family "a" or "b"; rows[N-1] is row N, a tuple of
+    ints.  Immutable and hashable, equal iff family and rows are."""
+
+    __slots__ = ()
 
     @property
     def max_n(self) -> int:

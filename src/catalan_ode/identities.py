@@ -11,10 +11,12 @@ of thm1 and thm3, with the (1-4t)^(e/2) factors taken from
 are integer sums too, since each weight C_m (m+1)/(2m-1) is the integer
 2 C_{m-1} (-1 at m = 0), and they carry a denominator only where an input
 is wrong; the eq59/eq62 sums are evaluated by exact binary splitting, as
-one integer fraction T / (B Q), over c_n = C_n/4^n, whose ratio
-(2k-1)/(2k+2) leaves each term a single factor of B (binom(2n,n)/4^n left
-two).  The integer checks build a `Fraction` only for a failure witness,
-and each sum builds one, for the comparison.  The only inexact steps are
+one integer fraction T / Q, with each term folded into the ratio of
+consecutive terms, which over c_n = C_n/4^n is (3-2k)/(2k+2) for eq59 and
+k(2k-1)/(2(k+1)^2) for eq62.  They are compared with their targets by
+integer cross-multiplication, so T / Q is never reduced.  Every check
+builds a `Fraction` only for a failure witness; `sum_eq59` and `sum_eq62`
+build one for the partial sum they return.  The only inexact steps are
 the comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to
 40, and of the 40-digit `Decimal` asymptotic ratio with the band
 (0.99, 1.01).
@@ -52,7 +54,6 @@ builds its own, so a job reads the same elements either way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -101,14 +102,29 @@ SQRT2_40 = Fraction(isqrt(2 * 10**80), 10**40)
 LN2_36 = Fraction("0.693147180559945309417232121458176568")
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    parameters: dict[str, int]
-    mode: str  # "series" | "symbolic" | "numeric"
-    passed: bool
-    witness: dict[str, str] | None = None
-    cost: float = field(default=0.0, compare=False)
+    """The outcome of one check.  mode is "series", "symbolic" or "numeric";
+    witness, a dict of decimal strings, is set only on failure; cost is the
+    run time in seconds, set by the runner and left out of equality."""
+
+    __slots__ = ("identity", "parameters", "mode", "passed", "witness", "cost")
+
+    def __init__(self, identity: str, parameters: dict[str, int], mode: str, passed: bool,
+                 witness: dict[str, str] | None = None, cost: float = 0.0):
+        self.identity, self.parameters, self.mode = identity, parameters, mode
+        self.passed, self.witness, self.cost = passed, witness, cost
+
+    def _key(self):
+        return self.identity, self.parameters, self.mode, self.passed, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VerificationReport({fields})"
 
 
 def _report(identity, parameters, mode, witness) -> VerificationReport:
@@ -351,35 +367,45 @@ def verify_sqrt_expansion(order: int) -> VerificationReport:
     return _report("eq58", {"K": order}, "series", None)
 
 
-def _binary_split(p, q, b, lo: int, hi: int) -> tuple[int, int, int, int]:
-    """Exact binary splitting (Haible & Papanikolaou 1998): (P, Q, B, T) with
-    sum_{lo <= n < hi} (prod_{lo <= k <= n} p(k)/q(k)) / b(n) = T / (B Q),
-    P = prod p(k), Q = prod q(k) and B = prod b(n) over [lo, hi).  The two
-    halves are joined by balanced products, O(log(hi - lo)) levels deep."""
+def _binary_split(p, q, lo: int, hi: int) -> tuple[int, int, int]:
+    """Exact binary splitting (Haible & Papanikolaou 1998): (P, Q, T) with
+    sum_{lo <= n < hi} prod_{lo <= k <= n} p(k)/q(k) = T / Q,
+    P = prod p(k) and Q = prod q(k) over [lo, hi).  The two halves are
+    joined by balanced products, O(log(hi - lo)) levels deep."""
     if hi - lo == 1:
         a = p(lo)
-        return a, q(lo), b(lo), a
+        return a, q(lo), a
     mid = (lo + hi) // 2
-    pl, ql, bl, tl = _binary_split(p, q, b, lo, mid)
-    pr, qr, br, tr = _binary_split(p, q, b, mid, hi)
-    return pl * pr, ql * qr, bl * br, br * qr * tl + bl * pl * tr
+    pl, ql, tl = _binary_split(p, q, lo, mid)
+    pr, qr, tr = _binary_split(p, q, mid, hi)
+    return pl * pr, ql * qr, qr * tl + pl * tr
+
+
+def _above(t: int, q: int, x: Fraction) -> int:
+    """An integer with the sign of t/q - x, for q > 0, by cross-multiplication,
+    so that t/q is never reduced."""
+    return t * x.denominator - x.numerator * q
+
+
+def _eq59(terms: int) -> tuple[int, int, Fraction, bool]:
+    """(T, Q, bound, pass flag) of `sum_eq59`, with T/Q the partial sum."""
+    if terms < 2:
+        raise ValueError("need at least 2 terms")
+    # with c_n = C_n/4^n = prod_{1<=k<=n} (2k-1)/(2k+2) the term is
+    # c_n (-1)^n / (1-2n), and term n over term n-1 is (3-2n)/(2n+2)
+    _, q, t = _binary_split(lambda k: 3 - 2 * k if k else 1, lambda k: 2 * k + 2 if k else 1,
+                            0, terms)
+    bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
+    target, slack = (4 * SQRT2_40 - 2) / 3, bound + EPS_CONST
+    return t, q, bound, _above(t, q, target - slack) > 0 > _above(t, q, target + slack)
 
 
 def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
     """Partial sum of sum_n C_n (-1)^(n-1) / (4^n (2n-1)), whose value is
     (4 sqrt(2) - 2)/3.  Returns (partial sum, alternating-series bound from
     the first omitted term, pass flag)."""
-    if terms < 2:
-        raise ValueError("need at least 2 terms")
-    # with c_n = C_n/4^n = prod_{1<=k<=n} (2k-1)/(2k+2) the term is
-    # c_n (-1)^n / (1-2n); p(k) = 1 - 2k carries the sign and is 1 at k = 0
-    _, q, b, t = _binary_split(lambda k: 1 - 2 * k, lambda k: 2 * k + 2 if k else 1,
-                               lambda n: 1 - 2 * n, 0, terms)
-    partial = Fraction(t, b * q)
-    bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
-    target = (4 * SQRT2_40 - 2) / 3
-    passed = abs(partial - target) < bound + EPS_CONST
-    return partial, bound, passed
+    t, q, bound, passed = _eq59(terms)
+    return Fraction(t, q), bound, passed
 
 
 def eq62_tail_enclosure(terms: int) -> tuple[Fraction, Fraction]:
@@ -413,6 +439,19 @@ def eq62_tail_enclosure(terms: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _eq62(terms: int) -> tuple[int, int, Fraction, bool]:
+    """(T, Q, hi, pass flag) of `sum_eq62`, with T/Q the partial sum."""
+    if terms < 1:
+        raise ValueError("need at least 1 term")
+    # the term is c_n / (4(n+1)), with c_n = C_n/4^n as in sum_eq59, and
+    # term n over term n-1 is n(2n-1) / (2(n+1)^2)
+    _, q, t = _binary_split(lambda k: k * (2 * k - 1) if k else 1,
+                            lambda k: 2 * (k + 1) ** 2 if k else 4, 0, terms)
+    lo, hi = eq62_tail_enclosure(terms)
+    gap = 1 - LN2_36
+    return t, q, hi, _above(t, q, gap - hi - EPS_CONST) >= 0 >= _above(t, q, gap - lo + EPS_CONST)
+
+
 def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     """Partial sum of sum_n binom(2n,n) / ((n+1)^2 4^(n+1)), whose value is
     1 - ln 2.  Returns (partial sum, tail majorant hi, pass flag).
@@ -422,26 +461,19 @@ def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     r_m^2 m and r_m^2 (m+1/2) of r_m = binom(2m,m)/4^m.  The flag says that
     (1 - ln 2) - partial lies in [lo, hi], up to the rounding slack of the
     ln 2 constant; hi is a rigorous upper bound on the truncation error."""
-    if terms < 1:
-        raise ValueError("need at least 1 term")
-    # the term is c_n / (4(n+1)), with c_n = C_n/4^n as in sum_eq59
-    _, q, b, t = _binary_split(lambda k: 2 * k - 1 if k else 1, lambda k: 2 * k + 2 if k else 1,
-                               lambda n: 4 * (n + 1), 0, terms)
-    partial = Fraction(t, b * q)
-    lo, hi = eq62_tail_enclosure(terms)
-    passed = lo - EPS_CONST <= (1 - LN2_36) - partial <= hi + EPS_CONST
-    return partial, hi, passed
+    t, q, hi, passed = _eq62(terms)
+    return Fraction(t, q), hi, passed
 
 
 def report_eq59(terms: int) -> VerificationReport:
-    partial, bound, passed = sum_eq59(terms)
-    witness = None if passed else _witness(terms, partial, (4 * SQRT2_40 - 2) / 3)
+    t, q, _, passed = _eq59(terms)
+    witness = None if passed else _witness(terms, Fraction(t, q), (4 * SQRT2_40 - 2) / 3)
     return _report("eq59", {"terms": terms}, "numeric", witness)
 
 
 def report_eq62(terms: int) -> VerificationReport:
-    partial, bound, passed = sum_eq62(terms)
-    witness = None if passed else _witness(terms, partial, 1 - LN2_36)
+    t, q, _, passed = _eq62(terms)
+    witness = None if passed else _witness(terms, Fraction(t, q), 1 - LN2_36)
     return _report("eq62", {"terms": terms}, "numeric", witness)
 
 

@@ -12,7 +12,6 @@ the reports the same way, which keeps the JSON output byte-deterministic
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from time import perf_counter
 
 from . import identities as ids
@@ -65,14 +64,24 @@ def check_bounds(command: str, values) -> None:
 NUMBER_MAX_N = 6
 
 
-@dataclass
 class RunConfig:
-    max_n_deriv: int = 8      # N bound for thm1/thm3/eq57
-    series_order: int = 64    # truncation order K
-    max_index: int = 20       # n/k bound for thm2/thm4
-    terms_eq59: int = 500
-    terms_eq62: int = 2000
-    conv_max: int = 200       # n bound for the convolution recurrences
+    """The bounds of one `verify` run.  Its fields are the `verify` dests of
+    BOUNDS, set by keyword; each default is the class attribute below."""
+
+    max_n_deriv = 8      # N bound for thm1/thm3/eq57
+    series_order = 64    # truncation order K
+    max_index = 20       # n/k bound for thm2/thm4
+    terms_eq59 = 500
+    terms_eq62 = 2000
+    conv_max = 200       # n bound for the convolution recurrences
+
+    def __init__(self, **values: int):
+        fields = [dest for cmd, _, dest, _, _ in BOUNDS if cmd == "verify"]
+        unknown = values.keys() - set(fields)
+        if unknown:
+            raise TypeError(f"RunConfig() got unexpected keyword arguments {sorted(unknown)}")
+        for name in fields:
+            setattr(self, name, values.get(name, getattr(RunConfig, name)))
 
     def validate(self, identity: str = "all") -> None:
         check_bounds("verify", self)

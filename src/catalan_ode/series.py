@@ -58,7 +58,7 @@ class Series:
             raise ValueError("a series needs at least the constant coefficient")
         if den < 1:
             raise ValueError("the denominator must be positive")
-        if not all(type(c) is int for c in num):
+        if not {int}.issuperset(map(type, num)):
             fs = [Fraction(c) for c in num]
             scale = lcm(*(f.denominator for f in fs))
             num = [f.numerator * (scale // f.denominator) for f in fs]

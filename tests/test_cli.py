@@ -40,6 +40,7 @@ class TestBFileParser:
     def test_basic(self):
         entries = parse_bfile("0 1\n1 1\n2 2")
         assert [(e.index, e.value) for e in entries] == [(0, 1), (1, 1), (2, 2)]
+        assert [(index, value) for index, value in entries] == [(0, 1), (1, 1), (2, 2)]
 
     def test_comments_and_blanks(self):
         entries = parse_bfile("# comment\n\n5 42\n")

@@ -294,30 +294,34 @@ class TestSumsBySplitting:
         good = sum_fn(terms)[0]
         split = identities._binary_split
 
-        def scaled(p, q, b, lo, hi):
-            P, Q, B, T = split(p, q, b, lo, hi)
+        def scaled(p, q, lo, hi):
+            P, Q, T = split(p, q, lo, hi)
             if (lo, hi) == (0, terms):
                 qn = prod(q(k) for k in range(n + 1))
-                T += (factor - 1) * prod(p(k) for k in range(n + 1)) * (Q // qn) * (B // b(n))
-            return P, Q, B, T
+                T += (factor - 1) * prod(p(k) for k in range(n + 1)) * (Q // qn)
+            return P, Q, T
 
         monkeypatch.setattr(identities, "_binary_split", scaled)
         partial, _, passed = sum_fn(terms)
         assert partial - good == (factor - 1) * term(n)
         assert not passed
+        report = report_eq59 if identity == "eq59" else report_eq62
+        assert not report(terms).passed
 
     @pytest.mark.parametrize("identity", SUMS)
     def test_denominator_bits(self, identity, monkeypatch):
-        """Split over c_n = C_n/4^n, each term leaves one factor in B; over
-        binom(2n,n)/4^n it left two, and B Q of the top-level split at 2000
-        terms had 61,129 bits (eq59) and 63,147 (eq62)."""
+        """Each term folded into the ratio of c_n = C_n/4^n leaves the
+        top-level split at 2000 terms one denominator Q, of 21,052 bits
+        (eq59) and 40,107 (eq62).  Split over binom(2n,n)/4^n with a
+        separate product B of the term denominators, B Q had 61,129 and
+        63,147 bits."""
         split, bits = identities._binary_split, []
 
-        def spy(p, q, b, lo, hi):
-            P, Q, B, T = split(p, q, b, lo, hi)
+        def spy(p, q, lo, hi):
+            P, Q, T = split(p, q, lo, hi)
             if (lo, hi) == (0, 2000):
-                bits.append((B * Q).bit_length())
-            return P, Q, B, T
+                bits.append(Q.bit_length())
+            return P, Q, T
 
         monkeypatch.setattr(identities, "_binary_split", spy)
         assert SUMS[identity][0](2000)[2]
@@ -337,16 +341,14 @@ class TestSumsBySplitting:
         moved = getattr(identities, constant) + Fraction(1, 1000)
         monkeypatch.setattr(identities, constant, moved)
         target = (4 * moved - 2) / 3 if identity == "eq59" else 1 - moved
-        sum_fn, sums = SUMS[identity][0], []
-        monkeypatch.setattr(identities, f"sum_{identity}",
-                            lambda t: sums.append(sum_fn(t)) or sums[-1])
+        sum_fn = SUMS[identity][0]
         report = report_eq59 if identity == "eq59" else report_eq62
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(4300)
             rep = report(terms)
             sys.set_int_max_str_digits(0)
-            partial = sums[0][0]
+            partial = sum_fn(terms)[0]
             assert len(str(partial.denominator)) > 4300
             assert not rep.passed
             assert rep.witness == {"index": str(terms), "lhs": str(partial), "rhs": str(target)}

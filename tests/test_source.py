@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,56 @@ def test_all_names_resolve():
 
     missing = [name for name in catalan_ode.__all__ if not hasattr(catalan_ode, name)]
     assert missing == []
+
+
+def test_import_leaves_out_heavy_modules():
+    """Importing the package and its CLI loads none of these modules; `-S`
+    keeps `site`, which may import `typing` itself, out of the result."""
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    code = ("import sys, catalan_ode, catalan_ode.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
+
+
+def test_report_equality_leaves_out_cost():
+    from catalan_ode import VerificationReport
+
+    rep = VerificationReport("eq57", {"N": 2}, "numeric", False, {"index": "1"})
+    same = VerificationReport(identity="eq57", parameters={"N": 2}, mode="numeric",
+                              passed=False, witness={"index": "1"}, cost=0.5)
+    rep.cost = 0.25
+    assert rep == same and rep.cost == 0.25
+    assert rep != VerificationReport("eq57", {"N": 2}, "numeric", True, {"index": "1"})
+    assert rep != VerificationReport("eq57", {"N": 2}, "numeric", False, {"index": "2"})
+    assert rep != VerificationReport("eq57", {"N": 2}, "numeric", False)
+    assert repr(same).startswith("VerificationReport(identity='eq57', parameters={'N': 2}")
+
+
+def test_coeff_table_is_an_immutable_value():
+    from catalan_ode import CoeffTable, a_table_recurrence
+
+    table = a_table_recurrence(3)
+    with pytest.raises(AttributeError):
+        table.rows = ((1,),)
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    twin = CoeffTable("a", ((1,), (2, 2), (12, 12, 6)))
+    assert twin == table and hash(twin) == hash(table)
+    assert CoeffTable("b", table.rows) != table
+
+
+def test_run_config_fields_are_the_verify_bounds():
+    from catalan_ode.runner import BOUNDS, RunConfig
+
+    dests = {dest for cmd, _, dest, _, _ in BOUNDS if cmd == "verify"}
+    defaults = {name for name, value in vars(RunConfig).items() if type(value) is int}
+    assert defaults == dests
+    assert vars(RunConfig(max_index=3)) == {
+        dest: 3 if dest == "max_index" else getattr(RunConfig, dest) for dest in dests}
+    with pytest.raises(TypeError):
+        RunConfig(bogus=1)
+    with pytest.raises(TypeError):
+        RunConfig(8)
