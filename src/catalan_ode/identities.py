@@ -32,8 +32,9 @@ thm1 and thm3 are read through the algebra of C, in both mechanisms
   c = sum_i a_i(N) (2-C)^i (`_row_in_c`);
 * thm3 is taken by Horner in u = 1-4t, and a factor s^e is applied by
   `_s_power_times`: in the ring a shift of the record, on series a scan
-  of the coefficients for each factor 1-4t or 1/(1-4t), and one dense
-  product for the s of odd N.
+  of the coefficients for each factor 1-4t or 1/(1-4t); the s of odd N
+  is moved to the other side on series, s N! C^(N+1) = N! (2 - C) C^N
+  against u y, so only a failing row takes the one dense product by s.
 
 Every step is exact and linear in the a/b row, so the compared elements do
 not depend on how they were built.  `_compare` turns the two sides into a
@@ -47,10 +48,11 @@ and thm3 together, `ode_table`, the powers C^(k+1) and the derivatives
 D^k C up to the largest N in one mechanism; for thm2 and thm4,
 `number_row`, the truncated products of the s-powers with the closed-form
 inputs for every n of one row N; for eq64 and eq66, `conv_table`, the one
-convolution of the weights with the Catalan inputs, from which eq66 drops
-its m = 0 and m = n terms.  The runner builds each table before the checks
-and passes it as the verifier's last argument; a verifier called alone
-builds its own, so a job reads the same elements either way.
+convolution of the weights with the Catalan inputs, on the true inputs read
+off one self-square, from which eq66 drops its m = 0 and m = n terms.  The
+runner builds each table before the checks and passes it as the verifier's
+last argument; a verifier called alone builds its own, so a job reads the
+same elements either way.
 """
 from __future__ import annotations
 
@@ -69,6 +71,7 @@ from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
 from .series import (
     Series,
     _mul,
+    _square,
     catalan_series,
     first_mismatch,
     half_power_coeffs,
@@ -208,7 +211,8 @@ def _s_power_times(e: int, y):
     """s^e y, for a ring element or a series y: in the ring a shift of y's
     record; on a series of even e, |e|/2 scans of the coefficients,
     y_n - 4 y_(n-1) for each factor 1-4t and y_n + 4 y_(n-1) for each
-    1/(1-4t); of odd e, one dense product."""
+    1/(1-4t); of odd e, one dense product, which `verify_thm3` takes only
+    for the witness of a failing odd row."""
     if isinstance(y, AlgebraicElement):
         return AlgebraicElement.half_power(e) * y
     if e % 2:
@@ -301,7 +305,12 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     s^(N mod 2) y by Horner in u = 1-4t: y = 0, then
     y <- u y + b_i(N) D^(N-i) C for i = 0..N//2.  C^(N+1) and
     C^((N-i)) = D^(N-i) C are read from `ode`, the `ode_table` of this mode
-    and order."""
+    and order.
+
+    For odd N on series, s N! C^(N+1) = N! (2 C^N - C^(N+1)), from s C = 2 - C,
+    is compared with u y, one more scan, first: s is a unit with s_0 = 1, so
+    s lhs - u y = s (lhs - s y) and lhs - s y are zero up to the same index.
+    Only a mismatch takes the dense product s y, for the witness."""
     N = n_pow
     params = _parameters(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
@@ -309,9 +318,15 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     y = table.entry(0, N) * derivs[N]
     for i in range(1, N // 2 + 1):
         y = _s_power_times(2, y) + table.entry(i, N) * derivs[N - i]
+    f = factorial(N)
+    if N % 2 and mode == "series":
+        # s N! C^(N+1) = N! (2 - C) C^N
+        s_lhs = Series([f * (2 * x - w) for x, w in zip(powers[N - 1].num, powers[N].num)])
+        if first_mismatch(s_lhs, _s_power_times(2, y)) is None:
+            return _report("thm3", params, mode, None)
     if N % 2:
         y = _s_power_times(1, y)
-    return _compare("thm3", params, mode, factorial(N) * powers[N], y)
+    return _compare("thm3", params, mode, f * powers[N], y)
 
 
 def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,
@@ -370,11 +385,20 @@ def verify_sqrt_expansion(order: int) -> VerificationReport:
 def _binary_split(p, q, lo: int, hi: int) -> tuple[int, int, int]:
     """Exact binary splitting (Haible & Papanikolaou 1998): (P, Q, T) with
     sum_{lo <= n < hi} prod_{lo <= k <= n} p(k)/q(k) = T / Q,
-    P = prod p(k) and Q = prod q(k) over [lo, hi).  The two halves are
-    joined by balanced products, O(log(hi - lo)) levels deep."""
-    if hi - lo == 1:
-        a = p(lo)
-        return a, q(lo), a
+    P = prod p(k) and Q = prod q(k) over [lo, hi); an empty range gives
+    (1, 1, 0), and hi < lo raises ValueError.  A range of at most 16 terms
+    is one loop, T <- T q(k) + P; a longer one joins its two halves by
+    balanced products, O(log(hi - lo)) levels deep.  Since Q is the whole
+    product, T = Q sum is the same integer either way."""
+    if hi < lo:
+        raise ValueError("need lo <= hi")
+    if hi - lo <= 16:
+        P, Q, T = 1, 1, 0
+        for k in range(lo, hi):
+            P *= p(k)
+            b = q(k)
+            T, Q = T * b + P, Q * b
+        return P, Q, T
     mid = (lo + hi) // 2
     pl, ql, tl = _binary_split(p, q, lo, mid)
     pr, qr, tr = _binary_split(p, q, mid, hi)
@@ -502,10 +526,17 @@ def _conv_weights(cs: list[int]) -> tuple[int, list[int]]:
 def conv_table(nmax: int) -> tuple[list[int], int, list[int], list[int]]:
     """(cs, L, u, conv) that eq64 and eq66 both read: the inputs C_0..C_nmax,
     their weights u / L from `_conv_weights`, and the convolution
-    conv_n = sum_{m=0}^{n} u_m C_{n-m} for n = 0..nmax."""
+    conv_n = sum_{m=0}^{n} u_m C_{n-m} for n = 0..nmax.
+
+    Where u = [-1, 2 C_0, .., 2 C_(nmax-1)], as on the true inputs, u * C is
+    -C + 2t (C * C) exactly, whatever C is, so conv is read off one
+    self-square `_square`, half the products of `_mul(u, cs, nmax + 1)`,
+    which any other input takes; conv is the same list either way."""
     cs = _conv_inputs(nmax)
     den, u = _conv_weights(cs)
-    return cs, den, u, _mul(u, cs, nmax + 1)
+    if u != [-1, *(2 * c for c in cs[:-1])]:
+        return cs, den, u, _mul(u, cs, nmax + 1)
+    return cs, den, u, [-cs[0], *(2 * x - c for x, c in zip(_square(cs, nmax), cs[1:]))]
 
 
 def verify_eq64(nmax: int, table: tuple | None = None) -> VerificationReport:

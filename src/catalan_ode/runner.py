@@ -26,11 +26,11 @@ JSON_SCHEMA_VERSION = "1"
 # defaults.  At the upper bounds each other subcommand takes under a second
 # and prints no number past Python's 4300-digit int -> str limit, and the
 # slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
-# max-N 40, K = 512, both modes with the table build, about 0.24 s and
-# 1.3 s, most of the latter the dense product by s of the odd rows, eq64 and
-# eq66 at 1000 about 0.5 s each alone, nearly all of it the one `conv_table`
-# they share, and `verify --id all` with every flag at its bound 2.9-3.0 s
-# (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM whose speed drifts).
+# max-N 40, K = 512, both modes with the table build, about 0.2 s each,
+# eq64 and eq66 at 1000 about 0.15 s each alone, nearly all of it the one
+# self-square of `conv_table` they share, and `verify --id all` with every
+# flag at its bound 1.2-1.4 s (CPython 3.11.7, one core of a 2-vCPU Intel
+# Xeon VM whose speed drifts).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (

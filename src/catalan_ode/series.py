@@ -1,8 +1,9 @@
 """Integer coefficient lists and truncated power series built on them.
 
-`_trim`, `_add` and `_mul` are the one polynomial kernel of the package:
-lists of Python ints, lowest degree first.  The ring in `algebraic` uses
-them for its numerators, and :class:`Series` for its coefficients.
+`_trim`, `_add`, `_mul` and `_square` are the one polynomial kernel of the
+package: lists of Python ints, lowest degree first.  The ring in
+`algebraic` uses them for its numerators, and :class:`Series` for its
+coefficients.
 `half_power_coeffs` gives the integer coefficients of every power of
 s = sqrt(1-4t) that the package uses.
 
@@ -43,6 +44,21 @@ def _mul(p, q, n: int | None = None) -> list[int]:
         if x:
             for j, y in enumerate(q[: size - i]):
                 out[i + j] += x * y
+    return out
+
+
+def _square(p, n: int | None = None) -> list[int]:
+    """`_mul(p, p, n)` with about half its products: coefficient k sums
+    p_i p_(k-i) once over i < k - i and doubles that, then adds the middle
+    square p_(k/2)^2 for even k."""
+    size = 2 * len(p) - 1 if p else 0
+    if n is not None:
+        size = min(size, n)
+    out = []
+    for k in range(size):
+        lo, mid = max(0, k - len(p) + 1), (k + 1) // 2
+        c = 2 * sum([x * y for x, y in zip(p[lo:mid], p[k - lo:k - mid:-1])])
+        out.append(c if k % 2 else c + p[k // 2] ** 2)
     return out
 
 

@@ -1,7 +1,7 @@
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -36,7 +36,14 @@ from catalan_ode.identities import (
     verify_thm4,
 )
 from catalan_ode.runner import BOUNDS, NUMBER_MAX_N, RunConfig, _jobs, run_suite
-from catalan_ode.series import Series, catalan_series, sqrt_one_plus_series
+from catalan_ode.series import (
+    Series,
+    _mul,
+    catalan_series,
+    first_mismatch,
+    half_power_coeffs,
+    sqrt_one_plus_series,
+)
 
 
 class TestForwardOde:
@@ -356,6 +363,48 @@ class TestSumsBySplitting:
             sys.set_int_max_str_digits(limit)
 
 
+# the eq59 and eq62 term ratios, as `_eq59` and `_eq62` split them
+RATIOS = {
+    "eq59": (lambda k: 3 - 2 * k if k else 1, lambda k: 2 * k + 2 if k else 1),
+    "eq62": (lambda k: k * (2 * k - 1) if k else 1, lambda k: 2 * (k + 1) ** 2 if k else 4),
+}
+
+
+def _split_by_single_terms(p, q, lo, hi):
+    """Binary splitting down to one-term leaves, the reference for the
+    looped leaves of `_binary_split`."""
+    if hi - lo == 1:
+        a = p(lo)
+        return a, q(lo), a
+    mid = (lo + hi) // 2
+    pl, ql, tl = _split_by_single_terms(p, q, lo, mid)
+    pr, qr, tr = _split_by_single_terms(p, q, mid, hi)
+    return pl * pr, ql * qr, qr * tl + pl * tr
+
+
+class TestBinarySplit:
+    @pytest.mark.parametrize("lo", [0, 1, 7])
+    @pytest.mark.parametrize("identity", RATIOS)
+    def test_matches_single_term_leaves(self, identity, lo):
+        """(P, Q, T) is the one-term-leaf split's, integer for integer, for
+        every length 1..120, below, at and above the looped leaf size."""
+        p, q = RATIOS[identity]
+        for length in range(1, 121):
+            assert identities._binary_split(p, q, lo, lo + length) == \
+                _split_by_single_terms(p, q, lo, lo + length), length
+
+    @pytest.mark.parametrize("lo", [0, 5])
+    def test_empty_range(self, lo):
+        p, q = RATIOS["eq62"]
+        assert identities._binary_split(p, q, lo, lo) == (1, 1, 0)
+
+    @pytest.mark.parametrize("lo,hi", [(5, 3), (1, 0), (40, 0)])
+    def test_reversed_range(self, lo, hi):
+        p, q = RATIOS["eq59"]
+        with pytest.raises(ValueError):
+            identities._binary_split(p, q, lo, hi)
+
+
 class TestConvolutionRecurrences:
     def test_small_values_by_hand(self):
         from catalan_ode.catalan import catalan_closed
@@ -607,9 +656,10 @@ class TestGridTables:
     @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
     def test_series_products(self, identity, max_n, monkeypatch):
         """The series grid's products of two series: one, the ode_table's
-        s C = 2 - C guard, whatever max-N is, and for thm3 one more per odd
-        N, the s of s^(N mod 2).  A ladder of powers built by products took
-        max-N more, and s^(-2N) in each thm1 job one more per job."""
+        s C = 2 - C guard, whatever max-N is.  A ladder of powers built by
+        products took max-N more, s^(-2N) in each thm1 job one more per job,
+        and the s of s^(N mod 2) in thm3 one more per odd N, which a passing
+        row now moves to the other side as s N! C^(N+1) = N! (2 - C) C^N."""
         products = 0
         mul = Series.__mul__
 
@@ -621,7 +671,7 @@ class TestGridTables:
         monkeypatch.setattr(Series, "__mul__", spy)
         reports = run_suite(identity, RunConfig(max_n_deriv=max_n, series_order=max_n + 32))
         assert reports and all(r.passed for r in reports)
-        assert products == 1 + (identity == "thm3") * (max_n + 1) // 2
+        assert products == 1
 
     def test_run_suite_builds_each_table_once(self, monkeypatch):
         """`ode_table` and `conv_table` also build the table of a verifier
@@ -688,19 +738,35 @@ class TestGridTables:
 
     def test_run_suite_makes_one_convolution(self, monkeypatch):
         """eq64 and eq66 each made their own product of length conv-max + 1;
-        the runner's `conv_table` makes one for both."""
+        the runner's `conv_table` makes one for both, and on the true inputs
+        none: the convolution is read off one self-square of length conv-max.
+        With one C_j shifted it is the one product again."""
         cfg = RunConfig()
         assert cfg.conv_max != cfg.max_index
-        lengths = Counter()
-        mul = identities._mul
+        lengths, squares = Counter(), Counter()
+        mul, square = identities._mul, identities._square
 
         def mul_spy(p, q, n=None):
             lengths[n] += 1
             return mul(p, q, n)
 
+        def square_spy(p, n=None):
+            squares[n] += 1
+            return square(p, n)
+
         monkeypatch.setattr(identities, "_mul", mul_spy)
+        monkeypatch.setattr(identities, "_square", square_spy)
         assert all(r.passed for r in run_suite("all", cfg))
-        assert lengths[cfg.conv_max + 1] == 1
+        assert lengths[cfg.conv_max + 1] == 0
+        assert squares == {cfg.conv_max: 1}
+        shifted = identities._conv_inputs(cfg.conv_max)
+        shifted[7] += 1
+        monkeypatch.setattr(identities, "_conv_inputs", lambda nmax: list(shifted))
+        lengths.clear()
+        squares.clear()
+        failed = {r.identity for r in run_suite("all", cfg) if not r.passed}
+        assert failed == {"eq64", "eq66"}
+        assert lengths[cfg.conv_max + 1] == 1 and not squares
 
     @staticmethod
     def _assert_parity(identity, cfg, last_entry):
@@ -796,3 +862,89 @@ class TestAlgebraOfC:
         with pytest.raises(ArithmeticError):
             verify_thm3(8, "series", 32)
         assert identities.ode_table(8, "symbolic")[0][8] == AlgebraicElement((1,), 9)
+
+
+def _thm3_series_with_dense_s(N, order, table, ode):
+    """verify_thm3 in series mode with every step a product of two series:
+    Horner by Series(u), u = 1-4t, and s y by Series(s) for odd N, the
+    dense product that only a failing row takes now."""
+    powers, derivs = ode
+    u = Series(half_power_coeffs(2, order))
+    y = table.entry(0, N) * derivs[N]
+    for i in range(1, N // 2 + 1):
+        y = u * y + table.entry(i, N) * derivs[N - i]
+    if N % 2:
+        y = Series(half_power_coeffs(1, y.order)) * y
+    mm = first_mismatch(factorial(N) * powers[N], y)
+    witness = mm and {"index": str(mm[0]), "lhs": str(mm[1]), "rhs": str(mm[2])}
+    return identities.VerificationReport("thm3", {"N": N, "K": order}, "series",
+                                         mm is None, witness)
+
+
+def _cancel_at_zero(table, N, i, j):
+    """`table` with b_i(N) and b_j(N) shifted so that their summands cancel at
+    t^0, where D^(N-i) C reads (N-i)! C_(N-i), so that the row fails later."""
+    wi = factorial(N - i) * catalan_closed(N - i)
+    wj = factorial(N - j) * catalan_closed(N - j)
+    g = gcd(wi, wj)
+    return _shifted(_shifted(table, N, i, wj // g), N, j, -wi // g)
+
+
+class TestPassPathKernels:
+    """The dense products a passing check no longer takes: s y of odd thm3
+    rows on series, and the eq64/eq66 product u * C, read off C * C."""
+
+    def test_thm3_odd_rows_every_entry(self):
+        """Every b entry of the odd rows 1..39, shifted by +1 or -5 and in
+        cancelling pairs that move the mismatch past t^0, reports at K = 48
+        what the dense product s y reported; the true rows pass."""
+        b = b_table_recurrence(40)
+        ode = identities.ode_table(40, "series", 48)
+        late = set()
+        for N in range(1, 40, 2):
+            tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
+            tables += [_cancel_at_zero(b, N, 0, j) for j in range(1, N // 2 + 1)]
+            for table in tables:
+                rep = verify_thm3(N, "series", 48, table, ode)
+                assert rep == _thm3_series_with_dense_s(N, 48, table, ode), N
+                assert rep.passed is (table is b)
+                if not rep.passed:
+                    late.add(rep.witness["index"] != "0")
+        assert late == {False, True}
+
+    @pytest.mark.parametrize("N,entries", [(39, (0,)), (39, (19,)), (39, (0, 9, 19)),
+                                           (25, (12,)), (1, (0,))])
+    def test_thm3_odd_rows_at_k200(self, N, entries):
+        """Some odd-row entries shifted by 7, and a cancelling pair, report at
+        K = 200 what the dense product s y reported."""
+        b = b_table_recurrence(40)
+        ode = identities.ode_table(40, "series", 200)
+        bad = b
+        for i in entries:
+            bad = _shifted(bad, N, i, 7)
+        for table in (bad, _cancel_at_zero(b, N, 0, N // 2) if N > 1 else b):
+            rep = verify_thm3(N, "series", 200, table, ode)
+            assert rep == _thm3_series_with_dense_s(N, 200, table, ode)
+            assert rep.passed is (table is b)
+
+    def test_conv_table_is_the_dense_product(self, monkeypatch):
+        """conv_table(60) is `_mul(u, cs, 61)` on the true inputs and with
+        each C_j of `test_conv_table_parity` shifted."""
+        true_cs = identities._conv_inputs(60)
+        for j in (None, 1, 2, 30, 60):
+            cs = list(true_cs)
+            if j is not None:
+                cs[j] += 1
+            monkeypatch.setattr(identities, "_conv_inputs", lambda nmax, cs=cs: list(cs))
+            got_cs, den, u, conv = identities.conv_table(60)
+            assert got_cs == cs and (den, u) == identities._conv_weights(cs)
+            assert conv == _mul(u, cs, 61), j
+
+    def test_bounds(self):
+        """thm3 at max-N 40, K = 512, where only the bounds reach the odd
+        rows' new comparison, and eq64/eq66 at conv-max 1000 pass."""
+        reports = run_suite("thm3", RunConfig(max_n_deriv=40, series_order=512))
+        assert len(reports) == 80 and all(r.passed for r in reports)
+        for identity in ("eq64", "eq66"):
+            reports = run_suite(identity, RunConfig(conv_max=1000))
+            assert len(reports) == 1 and reports[0].passed

@@ -13,6 +13,7 @@ from catalan_ode.exact import binomial_general
 from catalan_ode.series import (
     Series,
     _mul,
+    _square,
     catalan_series,
     first_mismatch,
     half_power_coeffs,
@@ -237,3 +238,8 @@ def test_canonical_form(a):
         got = s.coeff(n)
         assert type(got) is Fraction and got == c
         assert gcd(got.numerator, got.denominator) == 1
+
+
+@given(st.lists(st.integers(-2**70, 2**70), max_size=30), st.none() | st.integers(0, 70))
+def test_square_is_the_product_with_itself(p, n):
+    assert _square(p, n) == _mul(p, p, n)
