@@ -4,22 +4,26 @@ Kronecker-delta inverse relation between the two coefficient families,
 the square-root expansion, two convergent numeric sums, and the
 convolution recurrences.
 
-Every check is exact arithmetic end to end.  The number identities thm2
-and thm4 are integer equations between the t^n coefficients of both sides
-of thm1 and thm3, with the (1-4t)^(e/2) factors taken from
-`half_power_coeffs`; eq57 is an integer sum; the eq64/eq66 convolutions
-are integer sums too, since each weight C_m (m+1)/(2m-1) is the integer
-2 C_{m-1} (-1 at m = 0), and they carry a denominator only where an input
-is wrong; the eq59/eq62 sums are evaluated by exact binary splitting, as
-one integer fraction T / Q, with each term folded into the ratio of
-consecutive terms, which over c_n = C_n/4^n is (3-2k)/(2k+2) for eq59 and
-k(2k-1)/(2(k+1)^2) for eq62.  They are compared with their targets by
-integer cross-multiplication, so T / Q is never reduced.  Every check
-builds a `Fraction` only for a failure witness; `sum_eq59` and `sum_eq62`
-build one for the partial sum they return.  The only inexact steps are
-the comparisons of the numeric sums with ln 2 to 36 digits and sqrt(2) to
-40, and of the 40-digit `Decimal` asymptotic ratio with the band
-(0.99, 1.01).
+Every check is integer or rational arithmetic end to end.  The number
+identities thm2 and thm4 are integer equations between the t^n
+coefficients of both sides of thm1 and thm3, with the (1-4t)^(e/2) factors
+applied as scans in u = 1-4t where e is even, and taken from
+`half_power_coeffs` for the odd e of thm4; eq57 is an integer sum; the
+eq64/eq66 convolutions are integer sums too, since each weight
+C_m (m+1)/(2m-1) is the integer 2 C_{m-1} (-1 at m = 0), and they carry a
+denominator only where an input is wrong.  The eq59/eq62 sums are read
+through the ratio of consecutive terms, which over c_n = C_n/4^n is
+(3-2k)/(2k+2) for eq59 and k(2k-1)/(2(k+1)^2) for eq62, in two ways: a
+rigorous enclosure (L, U) / 2^W, W = 128, of the partial sum in integers
+(`_enclose`), which decides a pass, and the exact partial sum T / Q by
+binary splitting (`_binary_split`), which decides a failure and gives its
+witness, and which `sum_eq59`/`sum_eq62` return.  Both are compared with
+their targets by integer cross-multiplication, so T / Q is never reduced.
+Every check builds a `Fraction` only for a failure witness; `sum_eq59` and
+`sum_eq62` build one for the partial sum they return.  The only inexact
+steps are the typed-in constants: ln 2 to 36 digits and sqrt(2) to 40,
+which the sums are compared with up to a slack of 1e-25, and the 40-digit
+`Decimal` asymptotic ratio, compared with the band (0.99, 1.01).
 
 thm1 and thm3 are read through the algebra of C, in both mechanisms
 (truncated series, or exact ring elements), with s = sqrt(1-4t):
@@ -46,8 +50,8 @@ its verifier; the runner calls and times them.
 The work a grid of jobs shares is built once per grid, as a table: for thm1
 and thm3 together, `ode_table`, the powers C^(k+1) and the derivatives
 D^k C up to the largest N in one mechanism; for thm2 and thm4,
-`number_row`, the truncated products of the s-powers with the closed-form
-inputs for every n of one row N; for eq64 and eq66, `conv_table`, the one
+`number_row`, the s-powers times the closed-form inputs, truncated, for
+every n of one row N; for eq64 and eq66, `conv_table`, the one
 convolution of the weights with the Catalan inputs, on the true inputs read
 off one self-square, from which eq66 drops its m = 0 and m = n terms.  The
 runner builds each table before the checks and passes it as the verifier's
@@ -207,21 +211,26 @@ def ode_table(N: int, mode: str, order: int = 64) -> tuple[list, list]:
     return powers, derivs
 
 
+def _u_power_times(j: int, num: list[int]) -> list[int]:
+    """(1-4t)^j times the truncated coefficient list num, by |j| scans:
+    x_n - 4 x_(n-1) for each factor 1-4t, x_n + 4 x_(n-1) for each
+    1/(1-4t)."""
+    for _ in range(abs(j)):
+        num = ([x - 4 * w for x, w in zip(num, (0, *num))] if j > 0
+               else list(accumulate(num, lambda w, x: x + 4 * w)))
+    return num
+
+
 def _s_power_times(e: int, y):
     """s^e y, for a ring element or a series y: in the ring a shift of y's
-    record; on a series of even e, |e|/2 scans of the coefficients,
-    y_n - 4 y_(n-1) for each factor 1-4t and y_n + 4 y_(n-1) for each
-    1/(1-4t); of odd e, one dense product, which `verify_thm3` takes only
-    for the witness of a failing odd row."""
+    record; on a series of even e, the scans of `_u_power_times`; of odd
+    e, one dense product, which `verify_thm3` takes only for the witness
+    of a failing odd row."""
     if isinstance(y, AlgebraicElement):
         return AlgebraicElement.half_power(e) * y
     if e % 2:
         return Series(half_power_coeffs(e, y.order)) * y
-    num = y.num
-    for _ in range(abs(e) // 2):
-        num = ([x - 4 * w for x, w in zip(num, (0, *num))] if e > 0
-               else list(accumulate(num, lambda w, x: x + 4 * w)))
-    return Series(num, y.den)
+    return Series(_u_power_times(e // 2, y.num), y.den)
 
 
 def _row_in_c(a_table: CoeffTable, N: int) -> list[int]:
@@ -262,22 +271,29 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
 
 def number_row(identity: str, N: int, nmax: int) -> list[list[int]]:
     """Row N of the number identity thm2 or thm4: for each i of the row, the
-    t^0..t^nmax coefficients of one summand of thm1 or thm3, as the truncated
-    product of [t^m] s^e with the closed-form inputs,
+    t^0..t^nmax coefficients of one summand of thm1 or thm3, s^e times the
+    closed-form inputs,
 
         thm2, i = 1..N:      s^(i-2N)  by  C^(i+1)_m,
         thm4, i = 0..N//2:   s^(N-2i)  by  (m+N-i)!/m! C_{m+N-i}.
 
+    An even e is e/2 scans of `_u_power_times`.  The thm2 summand of odd i
+    is s^(i-2N-1) (2 C^i - C^(i+1)), from s C = 2 - C, so every thm2 row
+    is (1-4t)^(i//2 - N) times closed-form inputs, and takes no product;
+    the thm4 rows of odd N take one truncated product by [t^m] s^e each.
     Job (n, N) reads sum_i a_i(N) row[i][n] (b_i(N) for thm4), so the a/b
     table stays a job argument."""
     if identity == "thm2":
-        return [_mul(half_power_coeffs(i - 2 * N, nmax),
-                     [higher_catalan(i + 1, m) for m in range(nmax + 1)], nmax + 1)
+        powers = [[higher_catalan(r, m) for m in range(nmax + 1)] for r in range(1, N + 2)]
+        return [_u_power_times(i // 2 - N, [2 * x - y for x, y in zip(powers[i - 1], powers[i])]
+                               if i % 2 else powers[i])
                 for i in range(1, N + 1)]
-    return [_mul(half_power_coeffs(N - 2 * i, nmax),
-                 [perm(m + N - i, N - i) * catalan_closed(m + N - i) for m in range(nmax + 1)],
-                 nmax + 1)
-            for i in range(0, N // 2 + 1)]
+    rows = []
+    for i in range(0, N // 2 + 1):
+        inputs = [perm(m + N - i, N - i) * catalan_closed(m + N - i) for m in range(nmax + 1)]
+        rows.append(_mul(half_power_coeffs(N - 2 * i, nmax), inputs, nmax + 1) if N % 2
+                    else _u_power_times(N // 2 - i, inputs))
+    return rows
 
 
 def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
@@ -405,29 +421,69 @@ def _binary_split(p, q, lo: int, hi: int) -> tuple[int, int, int]:
     return pl * pr, ql * qr, qr * tl + pl * tr
 
 
+# Bits below the point of the fixed-point enclosures of `_enclose`.
+W = 128
+
+
+def _enclose(p, q, lo: int, hi: int) -> tuple[int, int]:
+    """Integers (L, U) with L / 2^W <= the sum of `_binary_split` over the
+    same range <= U / 2^W, for q(k) > 0.  The current term is carried as
+    the interval [a, b] / 2^W, rounded outwards at each ratio, a x // y
+    below and -(-b x // y) above, with the ends swapped first where
+    p(k) = x < 0.  Each rounding widens the interval by less than one unit
+    of 2^-W, and a and b stay about W bits long, so the loop takes no big
+    product."""
+    if hi < lo:
+        raise ValueError("need lo <= hi")
+    a = b = 1 << W
+    L = U = 0
+    for k in range(lo, hi):
+        x, y = p(k), q(k)
+        if y <= 0:
+            raise ValueError("need q(k) > 0")
+        if x < 0:
+            a, b = b, a
+        a, b = a * x // y, -(-b * x // y)
+        L, U = L + a, U + b
+    return L, U
+
+
 def _above(t: int, q: int, x: Fraction) -> int:
     """An integer with the sign of t/q - x, for q > 0, by cross-multiplication,
     so that t/q is never reduced."""
     return t * x.denominator - x.numerator * q
 
 
-def _eq59(terms: int) -> tuple[int, int, Fraction, bool]:
-    """(T, Q, bound, pass flag) of `sum_eq59`, with T/Q the partial sum."""
+# The eq59 and eq62 terms as (p, q) ratio pairs over c_n = C_n/4^n =
+# prod_{1<=k<=n} (2k-1)/(2k+2): term n is prod_{0<=k<=n} p(k)/q(k).  The
+# eq59 term c_n (-1)^n / (1-2n) over term n-1 is (3-2n)/(2n+2); the eq62
+# term c_n / (4(n+1)) over term n-1 is n(2n-1) / (2(n+1)^2).
+EQ59_RATIO = (lambda k: 3 - 2 * k if k else 1, lambda k: 2 * k + 2 if k else 1)
+EQ62_RATIO = (lambda k: k * (2 * k - 1) if k else 1, lambda k: 2 * (k + 1) ** 2 if k else 4)
+
+
+def _eq59_band(terms: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(low, high, bound): a partial sum of `terms` terms passes eq59 when
+    low < it < high, with bound the first omitted term."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
-    # with c_n = C_n/4^n = prod_{1<=k<=n} (2k-1)/(2k+2) the term is
-    # c_n (-1)^n / (1-2n), and term n over term n-1 is (3-2n)/(2n+2)
-    _, q, t = _binary_split(lambda k: 3 - 2 * k if k else 1, lambda k: 2 * k + 2 if k else 1,
-                            0, terms)
     bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
     target, slack = (4 * SQRT2_40 - 2) / 3, bound + EPS_CONST
-    return t, q, bound, _above(t, q, target - slack) > 0 > _above(t, q, target + slack)
+    return target - slack, target + slack, bound
+
+
+def _eq59(terms: int) -> tuple[int, int, Fraction, bool]:
+    """(T, Q, bound, pass flag) of `sum_eq59`, with T/Q the partial sum."""
+    low, high, bound = _eq59_band(terms)
+    _, q, t = _binary_split(*EQ59_RATIO, 0, terms)
+    return t, q, bound, _above(t, q, low) > 0 > _above(t, q, high)
 
 
 def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
     """Partial sum of sum_n C_n (-1)^(n-1) / (4^n (2n-1)), whose value is
     (4 sqrt(2) - 2)/3.  Returns (partial sum, alternating-series bound from
-    the first omitted term, pass flag)."""
+    the first omitted term, pass flag), all three from the exact sum T/Q
+    of `_binary_split`, the mechanism `report_eq59` falls back on."""
     t, q, bound, passed = _eq59(terms)
     return Fraction(t, q), bound, passed
 
@@ -463,22 +519,26 @@ def eq62_tail_enclosure(terms: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _eq62(terms: int) -> tuple[int, int, Fraction, bool]:
-    """(T, Q, hi, pass flag) of `sum_eq62`, with T/Q the partial sum."""
-    if terms < 1:
-        raise ValueError("need at least 1 term")
-    # the term is c_n / (4(n+1)), with c_n = C_n/4^n as in sum_eq59, and
-    # term n over term n-1 is n(2n-1) / (2(n+1)^2)
-    _, q, t = _binary_split(lambda k: k * (2 * k - 1) if k else 1,
-                            lambda k: 2 * (k + 1) ** 2 if k else 4, 0, terms)
+def _eq62_band(terms: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(low, high, hi): a partial sum of `terms` terms passes eq62 when
+    low <= it <= high, with [lo, hi] the `eq62_tail_enclosure`."""
     lo, hi = eq62_tail_enclosure(terms)
     gap = 1 - LN2_36
-    return t, q, hi, _above(t, q, gap - hi - EPS_CONST) >= 0 >= _above(t, q, gap - lo + EPS_CONST)
+    return gap - hi - EPS_CONST, gap - lo + EPS_CONST, hi
+
+
+def _eq62(terms: int) -> tuple[int, int, Fraction, bool]:
+    """(T, Q, hi, pass flag) of `sum_eq62`, with T/Q the partial sum."""
+    low, high, hi = _eq62_band(terms)
+    _, q, t = _binary_split(*EQ62_RATIO, 0, terms)
+    return t, q, hi, _above(t, q, low) >= 0 >= _above(t, q, high)
 
 
 def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     """Partial sum of sum_n binom(2n,n) / ((n+1)^2 4^(n+1)), whose value is
-    1 - ln 2.  Returns (partial sum, tail majorant hi, pass flag).
+    1 - ln 2.  Returns (partial sum, tail majorant hi, pass flag), from the
+    exact sum T/Q of `_binary_split`, the mechanism `report_eq62` falls
+    back on.
 
     The omitted tail is enclosed by `eq62_tail_enclosure` in [lo, hi],
     bounds of order terms^(-3/2) derived from the monotone ratios
@@ -490,14 +550,28 @@ def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
 
 
 def report_eq59(terms: int) -> VerificationReport:
-    t, q, _, passed = _eq59(terms)
-    witness = None if passed else _witness(terms, Fraction(t, q), (4 * SQRT2_40 - 2) / 3)
+    """eq59 passes where the `_enclose` enclosure (L, U) / 2^W of the partial
+    sum lies inside the pass band of `sum_eq59`, which holds the exact sum
+    too; any other case is decided by the exact sum, which gives a
+    failure its witness."""
+    low, high, _ = _eq59_band(terms)
+    L, U = _enclose(*EQ59_RATIO, 0, terms)
+    witness = None
+    if not _above(L, 1 << W, low) > 0 > _above(U, 1 << W, high):
+        t, q, _, passed = _eq59(terms)
+        witness = None if passed else _witness(terms, Fraction(t, q), (4 * SQRT2_40 - 2) / 3)
     return _report("eq59", {"terms": terms}, "numeric", witness)
 
 
 def report_eq62(terms: int) -> VerificationReport:
-    t, q, _, passed = _eq62(terms)
-    witness = None if passed else _witness(terms, Fraction(t, q), 1 - LN2_36)
+    """eq62 decided as `report_eq59` is: by the `_enclose` enclosure where it
+    lies inside the pass band, else by the exact sum of `sum_eq62`."""
+    low, high, _ = _eq62_band(terms)
+    L, U = _enclose(*EQ62_RATIO, 0, terms)
+    witness = None
+    if not _above(L, 1 << W, low) >= 0 >= _above(U, 1 << W, high):
+        t, q, _, passed = _eq62(terms)
+        witness = None if passed else _witness(terms, Fraction(t, q), 1 - LN2_36)
     return _report("eq62", {"terms": terms}, "numeric", witness)
 
 

@@ -28,9 +28,10 @@ JSON_SCHEMA_VERSION = "1"
 # slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
 # max-N 40, K = 512, both modes with the table build, about 0.2 s each,
 # eq64 and eq66 at 1000 about 0.15 s each alone, nearly all of it the one
-# self-square of `conv_table` they share, and `verify --id all` with every
-# flag at its bound 1.2-1.4 s (CPython 3.11.7, one core of a 2-vCPU Intel
-# Xeon VM whose speed drifts).
+# self-square of `conv_table` they share, thm2 and thm4 at max-n 200 and
+# eq59 and eq62 at 10000 terms 0.02-0.06 s each, and `verify --id all` with
+# every flag at its bound 1.0-1.2 s (CPython 3.11.7, one core of a 2-vCPU
+# Intel Xeon VM whose speed drifts).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (

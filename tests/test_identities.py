@@ -1,9 +1,11 @@
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import ceil, comb, factorial, floor, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalan_ode import identities
 from catalan_ode.algebraic import AlgebraicElement
@@ -294,12 +296,14 @@ class TestSumsBySplitting:
     @pytest.mark.parametrize("n", [1, 10])
     @pytest.mark.parametrize("identity", SUMS)
     def test_one_term_omitted_or_doubled(self, identity, n, factor, monkeypatch):
-        """Term n scaled by 0 or 2 inside the split fails the check.  A
-        change to the last term would be smaller than the eq62 enclosure
-        width, so it is not a control."""
+        """Term n scaled by 0 or 2 fails the check, injected into both
+        mechanisms that read the terms: the exact split, which `sum_*` and
+        the witness read, and the enclosure, which decides a passing
+        report.  A change to the last term would be smaller than the eq62
+        tail enclosure width, so it is not a control."""
         sum_fn, term, _, terms = SUMS[identity]
         good = sum_fn(terms)[0]
-        split = identities._binary_split
+        split, enclose = identities._binary_split, identities._enclose
 
         def scaled(p, q, lo, hi):
             P, Q, T = split(p, q, lo, hi)
@@ -308,12 +312,22 @@ class TestSumsBySplitting:
                 T += (factor - 1) * prod(p(k) for k in range(n + 1)) * (Q // qn)
             return P, Q, T
 
+        def scaled_enclosure(p, q, lo, hi):
+            L, U = enclose(p, q, lo, hi)
+            if (lo, hi) == (0, terms):
+                shift = (factor - 1) * term(n) * 2**identities.W
+                L, U = L + floor(shift), U + ceil(shift)
+            return L, U
+
         monkeypatch.setattr(identities, "_binary_split", scaled)
+        monkeypatch.setattr(identities, "_enclose", scaled_enclosure)
         partial, _, passed = sum_fn(terms)
         assert partial - good == (factor - 1) * term(n)
         assert not passed
         report = report_eq59 if identity == "eq59" else report_eq62
-        assert not report(terms).passed
+        rep = report(terms)
+        assert not rep.passed
+        assert rep.witness["lhs"] == str(partial)
 
     @pytest.mark.parametrize("identity", SUMS)
     def test_denominator_bits(self, identity, monkeypatch):
@@ -403,6 +417,161 @@ class TestBinarySplit:
         p, q = RATIOS["eq59"]
         with pytest.raises(ValueError):
             identities._binary_split(p, q, lo, hi)
+
+
+# the sizes the enclosure tests run at, besides every size up to 300
+ENCLOSURE_TERMS = (500, 2000, 3000, 10000)
+
+
+def _sizes(identity):
+    return [*range(SUMS[identity][2], 301), *ENCLOSURE_TERMS]
+
+
+def _split_calls(monkeypatch):
+    """Spy on `_binary_split`: the list of its (lo, hi) ranges, recursive
+    calls included."""
+    split, calls = identities._binary_split, []
+
+    def spy(p, q, lo, hi):
+        calls.append((lo, hi))
+        return split(p, q, lo, hi)
+
+    monkeypatch.setattr(identities, "_binary_split", spy)
+    return calls
+
+
+class TestEnclosure:
+    """`_enclose`, the fixed-point enclosure that decides a passing
+    eq59/eq62 report, against the exact sum of `_binary_split`."""
+
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_contains_the_exact_sum(self, identity):
+        ratio = getattr(identities, f"{identity.upper()}_RATIO")
+        one = 1 << identities.W
+        for terms in _sizes(identity):
+            L, U = identities._enclose(*ratio, 0, terms)
+            assert Fraction(L, one) <= SUMS[identity][0](terms)[0] <= Fraction(U, one), terms
+
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_report_agrees_with_the_exact_flag(self, identity):
+        report = report_eq59 if identity == "eq59" else report_eq62
+        for terms in _sizes(identity):
+            assert report(terms).passed is SUMS[identity][0](terms)[2], terms
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 50)), max_size=40),
+           st.integers(0, 8))
+    @settings(max_examples=200)
+    def test_contains_any_ratio_sum(self, pairs, width):
+        """For ratios of either sign, at W from 0 bits up, (L, U) / 2^W
+        holds T / Q of the split."""
+        p, q = (lambda k: pairs[k][0]), (lambda k: pairs[k][1])
+        old = identities.W
+        try:
+            identities.W = width
+            L, U = identities._enclose(p, q, 0, len(pairs))
+        finally:
+            identities.W = old
+        _, Q, T = identities._binary_split(p, q, 0, len(pairs))
+        assert Fraction(L, 1 << width) <= Fraction(T, Q) <= Fraction(U, 1 << width)
+
+    def test_argument_errors(self):
+        p, q = RATIOS["eq59"]
+        assert identities._enclose(p, q, 3, 3) == (0, 0)
+        with pytest.raises(ValueError):
+            identities._enclose(p, q, 3, 2)
+        with pytest.raises(ValueError):
+            identities._enclose(p, lambda k: 1 - k, 0, 5)
+
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_widths(self, identity):
+        """eq62 at 3000 terms and eq59 at 2000 are wider than one unit of
+        2^-W, since the ratio's modulus is near 1, but below 2^-100."""
+        ratio = getattr(identities, f"{identity.upper()}_RATIO")
+        L, U = identities._enclose(*ratio, 0, {"eq59": 2000, "eq62": 3000}[identity])
+        assert 1 < U - L < 2 ** (identities.W - 100)
+
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_passing_report_makes_no_split(self, identity, monkeypatch):
+        calls = _split_calls(monkeypatch)
+        report = report_eq59 if identity == "eq59" else report_eq62
+        for terms in (SUMS[identity][2], 10, SUMS[identity][3], 3000):
+            assert report(terms).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("shift", [Fraction(1, 1000), Fraction(-1, 1000)])
+    @pytest.mark.parametrize("identity,terms", [("eq59", 100), ("eq59", 500),
+                                                ("eq62", 100), ("eq62", 2000)])
+    def test_failing_report_makes_one_split(self, identity, terms, shift, monkeypatch):
+        """With its constant moved by 1e-3 either way, a report takes the
+        exact split once, at the top level, for today's witness."""
+        constant = {"eq59": "SQRT2_40", "eq62": "LN2_36"}[identity]
+        moved = getattr(identities, constant) + shift
+        monkeypatch.setattr(identities, constant, moved)
+        target = (4 * moved - 2) / 3 if identity == "eq59" else 1 - moved
+        calls = _split_calls(monkeypatch)
+        report = report_eq59 if identity == "eq59" else report_eq62
+        rep = report(terms)
+        assert calls.count((0, terms)) == 1
+        partial = SUMS[identity][0](terms)[0]
+        assert not rep.passed
+        assert rep.witness == {"index": str(terms), "lhs": str(partial), "rhs": str(target)}
+
+    @pytest.mark.parametrize("width", [0, 2, 5])
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_inconclusive_enclosure_falls_back(self, identity, width, monkeypatch):
+        """At a few bits the enclosure is too wide to decide, and each
+        report, passing or with its constant moved, is the one at W = 128."""
+        report = report_eq59 if identity == "eq59" else report_eq62
+        constant = {"eq59": "SQRT2_40", "eq62": "LN2_36"}[identity]
+        sizes = [*range(SUMS[identity][2], 40), SUMS[identity][3]]
+        for shift in (0, Fraction(1, 10**6)):
+            monkeypatch.setattr(identities, constant, getattr(identities, constant) + shift)
+            expected = [report(terms) for terms in sizes]
+            monkeypatch.setattr(identities, "W", width)
+            calls = _split_calls(monkeypatch)
+            assert [report(terms) for terms in sizes] == expected
+            assert calls.count((0, sizes[-1])) == 1
+            monkeypatch.undo()
+
+
+class TestThm2RowScans:
+    """thm2 `number_row`s by scans in u = 1 - 4t, and thm4's of even N,
+    against the truncated products they replace."""
+
+    @staticmethod
+    def _dense_row(identity, N, nmax):
+        if identity == "thm2":
+            return [_mul(half_power_coeffs(i - 2 * N, nmax),
+                         [higher_catalan(i + 1, m) for m in range(nmax + 1)], nmax + 1)
+                    for i in range(1, N + 1)]
+        return [_mul(half_power_coeffs(N - 2 * i, nmax),
+                     [factorial(m + N - i) // factorial(m) * catalan_closed(m + N - i)
+                      for m in range(nmax + 1)], nmax + 1)
+                for i in range(0, N // 2 + 1)]
+
+    @pytest.mark.parametrize("nmax", [0, 1, 20, 40, 200])
+    @pytest.mark.parametrize("identity", ["thm2", "thm4"])
+    def test_equals_the_dense_product(self, identity, nmax):
+        for N in range(1, 13):
+            assert identities.number_row(identity, N, nmax) == \
+                self._dense_row(identity, N, nmax), N
+
+    @pytest.mark.parametrize("identity", ["thm2", "thm4"])
+    def test_products(self, identity, monkeypatch):
+        """thm2 rows take no `_mul`; thm4 rows take one per summand of odd N
+        and none for even N."""
+        mul, calls = identities._mul, []
+
+        def spy(a, b, n):
+            calls.append(n)
+            return mul(a, b, n)
+
+        monkeypatch.setattr(identities, "_mul", spy)
+        for N in range(1, 13):
+            calls.clear()
+            identities.number_row(identity, N, 40)
+            odd_thm4 = identity == "thm4" and N % 2
+            assert calls == ([41] * (N // 2 + 1) if odd_thm4 else []), N
 
 
 class TestConvolutionRecurrences:
