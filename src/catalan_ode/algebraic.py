@@ -6,7 +6,9 @@ ODE families produce is p(C) C^k / (d (2-C)^m), stored as the record
 (p, k, m, d): p an integer polynomial in C (lowest degree first, no
 trailing zeros), k and m integers and d >= 1.  A power s^e is the record
 ((1,), -e, -e), so multiplying by it shifts k and m and touches no
-coefficient.
+coefficient.  A linear combination sum_j c_j s^(e_j) x_j (`combination`,
+of which `+` is the two-term case) lifts every term to one common record
+and canonicalises the sum once.
 
 Every operation ends by stripping the factors C of p into k, the factors
 2 - C of p into m (synthetic division by the root C = 2, while p(2) = 0)
@@ -86,15 +88,33 @@ class AlgebraicElement:
     def __hash__(self):
         return hash(self._key())
 
-    def _lift(self, k: int, m: int, d: int) -> list[int]:
-        """p over C^k / (d (2-C)^m), for k <= self.k, m >= self.m and d a
+    def _lift(self, k: int, m: int, d: int, c: int) -> list[int]:
+        """c p over C^k / (d (2-C)^m), for k <= self.k, m >= self.m and d a
         multiple of self.d."""
-        f = [0] * (self.k - k) + [d // self.d * c for c in _two_minus_c_power(m - self.m)]
-        return _mul(self.p, f)
+        f = c * (d // self.d)
+        q = [f * a for a in self.p]
+        if m > self.m:
+            q = _mul(q, _two_minus_c_power(m - self.m))
+        return [0] * (self.k - k) + q
+
+    @staticmethod
+    def combination(terms) -> "AlgebraicElement":
+        """sum_j c_j s^(e_j) x_j over the triples (c_j, e_j, x_j) of terms, at
+        least one, with integers c_j and e_j.  s^e x is x's record with k and
+        m lowered by e, so each term is lifted to the common C^k / (d (2-C)^m)
+        of all of them, the numerators are summed and the sum is
+        canonicalised once."""
+        terms = list(terms)
+        k = min(x.k - e for _, e, x in terms)
+        m = max(x.m - e for _, e, x in terms)
+        d = lcm(*(x.d for _, _, x in terms))
+        total = []
+        for c, e, x in terms:
+            total = _add(total, x._lift(k + e, m + e, d, c))
+        return AlgebraicElement(total, k, m, d)
 
     def __add__(self, other: "AlgebraicElement") -> "AlgebraicElement":
-        k, m, d = min(self.k, other.k), max(self.m, other.m), lcm(self.d, other.d)
-        return AlgebraicElement(_add(self._lift(k, m, d), other._lift(k, m, d)), k, m, d)
+        return AlgebraicElement.combination(((1, 0, self), (1, 0, other)))
 
     def __neg__(self) -> "AlgebraicElement":
         return self * -1
@@ -125,12 +145,13 @@ class AlgebraicElement:
         return v
 
     def derivative(self) -> "AlgebraicElement":
-        # D = C^3/(2-C) d/dC gives
-        # C^(k+2) (2-C)^(-m-2) [p' C (2-C) + k p (2-C) + m p C] / d.
-        k, m = self.k, self.m
-        dp = [i * c for i, c in enumerate(self.p)][1:]
-        return AlgebraicElement(_add(_mul(dp, (0, 2, -1)), _mul(self.p, (2 * k, m - k))),
-                                k + 2, m + 2, self.d)
+        # D = C^3/(2-C) d/dC gives C^(k+2) (2-C)^(-m-2) q / d with
+        # q = p' C (2-C) + k p (2-C) + m p C, so in one pass
+        # q_j = (2j + 2k) p_j + (m - k - j + 1) p_(j-1).
+        k, m, p = self.k, self.m, self.p
+        q = [2 * (j + k) * a + (m - k - j + 1) * b
+             for j, (a, b) in enumerate(zip(p + (0,), (0,) + p))]
+        return AlgebraicElement(q, k + 2, m + 2, self.d)
 
     def to_series(self, order: int) -> Series:
         """Taylor coefficients 0..order of the element: p evaluated at the

@@ -19,14 +19,17 @@ def parse_bfile(content: str) -> list[BFileEntry]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<index> <value>', got {raw!r:.60}")
+        # only ASCII decimal digits with an optional sign: int() would also
+        # take underscores and the digits of other scripts
+        if not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r:.60}")
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
-            problem = "non-integer field"
             # int() rejects a field of plain decimal digits only past Python's limit
-            if all(re.fullmatch(r"[+-]?\d+", f) for f in fields):
-                problem = f"integer field over the {sys.get_int_max_str_digits()}-digit limit"
-            raise ValueError(f"line {lineno}: {problem} in {raw!r:.60}") from None
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"line {lineno}: integer field over the {limit}-digit limit"
+                             f" in {raw!r:.60}") from None
         if entries and index <= entries[-1].index:
             raise ValueError(f"line {lineno}: index {index} not increasing")
         entries.append(BFileEntry(index, value))

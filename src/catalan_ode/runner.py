@@ -25,13 +25,13 @@ JSON_SCHEMA_VERSION = "1"
 # The CLI declares each flag from its row, `verify`'s with RunConfig's
 # defaults.  At the upper bounds each other subcommand takes under a second
 # and prints no number past Python's 4300-digit int -> str limit, and the
-# slowest `verify` grids take seconds rather than hours: thm1 and thm3 at
-# max-N 40, K = 512, both modes with the table build, about 0.2 s each,
-# eq64 and eq66 at 1000 about 0.15 s each alone, nearly all of it the one
-# self-square of `conv_table` they share, thm2 and thm4 at max-n 200 and
-# eq59 and eq62 at 10000 terms 0.02-0.06 s each, and `verify --id all` with
-# every flag at its bound 1.0-1.2 s (CPython 3.11.7, one core of a 2-vCPU
-# Intel Xeon VM whose speed drifts).
+# slowest `verify` grids take seconds rather than hours: thm1 at max-N 40,
+# K = 512, both modes with the table build, about 0.23 s and thm3 about
+# 0.15 s, eq64 and eq66 at 1000 about 0.15 s each alone, nearly all of it
+# the one self-square of `conv_table` they share, thm2 and thm4 at max-n 200
+# and eq59 and eq62 at 10000 terms 0.015-0.04 s each, and `verify --id all`
+# with every flag at its bound about 0.6 s in process (CPython 3.11.7, one
+# core of a 2-vCPU Intel Xeon VM whose speed drifts).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (

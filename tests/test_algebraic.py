@@ -221,6 +221,32 @@ class TestAlgebraicElement:
     def test_distributivity(self, x, y, z):
         assert (x * (y + z) - (x * y + x * z)).is_zero()
 
+    @given(st.lists(st.integers(-50, 50), max_size=8), st.integers(-6, 6),
+           st.integers(-6, 6), st.integers(1, 12))
+    @settings(max_examples=100)
+    def test_one_pass_derivative(self, p, k, m, d):
+        """The one-pass derivative equals the two-product formula it
+        replaced, C^(k+2) (2-C)^(-m-2) [p' C (2-C) + k p (2-C) + m p C] / d."""
+        x = E(p, k, m, d)
+        dp = [i * c for i, c in enumerate(x.p)][1:]
+        old = E(_add(_mul(dp, (0, 2, -1)), _mul(x.p, (2 * x.k, x.m - x.k))),
+                x.k + 2, x.m + 2, x.d)
+        assert x.derivative() == old
+
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-4, 4), small_elem),
+                    min_size=1, max_size=5))
+    @settings(max_examples=60)
+    def test_combination_is_the_sum_of_products(self, terms):
+        """sum_j c_j s^(e_j) x_j, canonicalised once, equals the same sum
+        taken by products with s^(e_j) and pairwise additions, and its
+        Taylor coefficients are the series sum of the terms'."""
+        got = E.combination(terms)
+        assert got == reduce(lambda acc, t: acc + t[0] * E.half_power(t[1]) * t[2], terms, E())
+        series = Series([0] * 7)
+        for c, e, x in terms:
+            series = series + c * (Series(half_power_coeffs(e, 6)) * x.to_series(6))
+        assert first_mismatch(got.to_series(6), series) is None
+
     @given(nonzero_elem, st.integers(0, 3))
     @settings(max_examples=40)
     def test_valuation_is_exact(self, x, j):

@@ -62,6 +62,16 @@ class TestBFileParser:
         big = 10**100 + 7
         assert parse_bfile(f"0 {big}")[0].value == big
 
+    @pytest.mark.parametrize("line", ["1_0 1", "2 0_2", "3 ٣", "0x1 1", "1 1.0", "1 +-1", "1 +"])
+    def test_only_ascii_decimal_fields(self, line):
+        """int() reads "1_0" as 10 and "٣" as 3; a b-file field is plain
+        ASCII decimal digits with an optional sign."""
+        with pytest.raises(ValueError, match="line 2: non-integer field"):
+            parse_bfile(f"0 1\n{line}")
+
+    def test_signed_fields(self):
+        assert parse_bfile("-1 +5\n+2 -7") == [(-1, 5), (2, -7)]
+
 
 class TestCatalanCommand:
     def test_prints_sequence(self, capsys):
@@ -250,6 +260,16 @@ class TestCrosscheckCommand:
 
     def test_missing_file(self, capsys):
         assert main(["crosscheck", "--bfile", "/nonexistent", "--max", "5"]) == 2
+
+    @pytest.mark.parametrize("content", ["0 1\n1 1\n2 0_2\n", "0 1\n1_0 16796\n"])
+    def test_underscore_is_usage_error(self, tmp_path, capsys, content):
+        """"2 0_2" once passed as C_2 = 2 and "1_0" as index 10; both are
+        now a usage error."""
+        bad = tmp_path / "underscore.txt"
+        bad.write_text(content)
+        assert main(["crosscheck", "--bfile", str(bad), "--max", "20"]) == 2
+        captured = capsys.readouterr()
+        assert "non-integer field" in captured.err and not captured.out
 
     def test_value_past_digit_limit_is_usage_error(self, tmp_path, capsys):
         """A well-formed value too long for int() is reported as such, and

@@ -167,6 +167,26 @@ class TestSqrtExpansion:
         assert rep.witness == {"index": str(n), "lhs": str(expected + 1), "rhs": str(expected)}
 
 
+    @pytest.mark.parametrize("n,delta", [(0, 1), (1, -1), (7, Fraction(1, 3)),
+                                         (40, Fraction(-1, 4**70)), (64, 5)])
+    def test_shift_gives_the_fraction_witness(self, n, delta, monkeypatch):
+        """Coefficient n of the expansion shifted by delta, also by a shift
+        finer than the series' denominator 4^64, reports the witness of the
+        reference carried in reduced `Fraction`s, (1/2 choose n)."""
+        coeffs = list(sqrt_one_plus_series(64).coeffs)
+        coeffs[n] += delta
+        monkeypatch.setattr(identities, "sqrt_one_plus_series", lambda order: Series(coeffs))
+        expected = Fraction(1)
+        for j, c in enumerate(coeffs):
+            if c != expected:
+                break
+            expected *= Fraction(1 - 2 * j, 2 * j + 2)
+        assert j == n
+        rep = verify_sqrt_expansion(64)
+        assert not rep.passed
+        assert rep.witness == {"index": str(n), "lhs": str(coeffs[n]), "rhs": str(expected)}
+
+
 class TestSumEq59:
     def test_two_terms(self):
         partial, bound, passed = sum_eq59(2)
@@ -532,6 +552,40 @@ class TestEnclosure:
             assert [report(terms) for terms in sizes] == expected
             assert calls.count((0, sizes[-1])) == 1
             monkeypatch.undo()
+
+
+class TestIntegerBands:
+    """`_eq59_ends`/`_eq62_ends`: the pass bands of eq59/eq62 as integers at
+    2^-W, each end rounded inward by less than three units."""
+
+    @pytest.mark.parametrize("width", [0, 2, 5, 128])
+    def test_inside_the_fraction_band(self, width, monkeypatch):
+        monkeypatch.setattr(identities, "W", width)
+        scale = 2**width
+        bands = ((identities._eq59_ends, identities._eq59_band, 2),
+                 (identities._eq62_ends, identities._eq62_band, 1))
+        for terms in [*range(1, 301), 500, 2000, 3000, 10000]:
+            for ends, band, smallest in bands:
+                if terms < smallest:
+                    continue
+                lo, hi = ends(terms)
+                low, high, _ = band(terms)
+                assert low * scale <= lo < low * scale + 3, (terms, width)
+                assert high * scale - 3 < hi <= high * scale, (terms, width)
+
+    @pytest.mark.parametrize("name", ["SQRT2_40", "LN2_36", "EPS_CONST"])
+    def test_constants_read_at_call_time(self, name, monkeypatch):
+        """A constant moved after import moves the integer band with it."""
+        before = (identities._eq59_ends(500), identities._eq62_ends(2000))
+        monkeypatch.setattr(identities, name, getattr(identities, name) + Fraction(1, 1000))
+        after = (identities._eq59_ends(500), identities._eq62_ends(2000))
+        assert [b != a for b, a in zip(before, after)] == [name != "LN2_36", name != "SQRT2_40"]
+
+    def test_too_few_terms(self):
+        with pytest.raises(ValueError, match="at least 2 terms"):
+            identities._eq59_ends(1)
+        with pytest.raises(ValueError, match="at least 1 term"):
+            identities._eq62_ends(0)
 
 
 class TestThm2RowScans:
@@ -1050,6 +1104,19 @@ def _thm3_series_with_dense_s(N, order, table, ode):
                                          mm is None, witness)
 
 
+def _thm3_ring_by_horner(N, table, ode):
+    """verify_thm3 in symbolic mode by Horner in u = 1-4t over canonical ring
+    elements, the way it was built before the one linear combination: every
+    step a product with s^2, a scaling and a sum, s y for odd N."""
+    powers, derivs = ode
+    y = table.entry(0, N) * derivs[N]
+    for i in range(1, N // 2 + 1):
+        y = AlgebraicElement.half_power(2) * y + table.entry(i, N) * derivs[N - i]
+    if N % 2:
+        y = AlgebraicElement.half_power(1) * y
+    return identities._compare("thm3", {"N": N}, "symbolic", factorial(N) * powers[N], y)
+
+
 def _cancel_at_zero(table, N, i, j):
     """`table` with b_i(N) and b_j(N) shifted so that their summands cancel at
     t^0, where D^(N-i) C reads (N-i)! C_(N-i), so that the row fails later."""
@@ -1095,6 +1162,84 @@ class TestPassPathKernels:
             rep = verify_thm3(N, "series", 200, table, ode)
             assert rep == _thm3_series_with_dense_s(N, 200, table, ode)
             assert rep.passed is (table is b)
+
+    def test_thm3_is_the_horner_sum(self):
+        """thm3 in both modes reports what Horner over ring elements or
+        series reported, at K = 48, on the true rows 1..40 and with each
+        of their b entries shifted by +1 and by -5."""
+        b = b_table_recurrence(40)
+        odes = {mode: identities.ode_table(40, mode, 48) for mode in ("series", "symbolic")}
+        for N in range(1, 41):
+            tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
+            for table in tables:
+                series = verify_thm3(N, "series", 48, table, odes["series"])
+                symbolic = verify_thm3(N, "symbolic", 48, table, odes["symbolic"])
+                assert series == _thm3_series_with_dense_s(N, 48, table, odes["series"]), N
+                assert symbolic == _thm3_ring_by_horner(N, table, odes["symbolic"]), N
+                assert series.passed is symbolic.passed is (table is b)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_last_compared_coefficient(self, N):
+        """On series, thm3 compares t^0..t^(K-N), the order of D^N C: N! C^(N+1)
+        shifted at t^(K-N) fails there, with the witness of the dense
+        product s y, and shifted at t^(K-N+1) passes.  thm1 fails with D^N C
+        shifted at its last coefficient t^(K-N)."""
+        order = N + 10
+        powers, derivs = identities.ode_table(N, "series", order)
+        b = b_table_recurrence(N)
+        for index, fails in ((order - N, True), (order - N + 1, False)):
+            num = list(powers[N].num)
+            num[index] += 1
+            ode = (powers[:N] + [Series(num)], derivs)
+            rep = verify_thm3(N, "series", order, b, ode)
+            assert rep == _thm3_series_with_dense_s(N, order, b, ode)
+            assert rep.passed is not fails
+            assert fails is False or rep.witness["index"] == str(index)
+        num = list(derivs[N].num)
+        num[-1] += 1
+        rep = verify_thm1(N, "series", order, a_table_recurrence(N),
+                          (powers, derivs[:N] + [Series(num)]))
+        assert not rep.passed and rep.witness["index"] == str(order - N)
+
+    def test_thm3_grid_work(self, monkeypatch):
+        """A passing thm3 grid at max-N 14 adds no two ring elements and no
+        two series.  Each symbolic row builds two ring elements, N! C^(N+1)
+        and its right-hand side, canonicalised once in one
+        `AlgebraicElement.combination`; a series row builds no `Series`."""
+        adds = Counter()
+        for cls in (Series, AlgebraicElement):
+            def add_spy(self, other, add=cls.__add__, name=cls.__name__):
+                adds[name] += 1
+                return add(self, other)
+
+            monkeypatch.setattr(cls, "__add__", add_spy)
+        reports = run_suite("thm3", RunConfig(max_n_deriv=14, series_order=22))
+        assert len(reports) == 28 and all(r.passed for r in reports)
+        assert not adds
+
+        b = b_table_recurrence(14)
+        odes = {mode: identities.ode_table(14, mode, 22) for mode in ("series", "symbolic")}
+        built = Counter()
+        combination = AlgebraicElement.combination
+        for cls in (Series, AlgebraicElement):
+            def init_spy(self, *args, init=cls.__init__, name=cls.__name__):
+                built[name] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", init_spy)
+
+        def combination_spy(terms):
+            built["combination"] += 1
+            return combination(terms)
+
+        monkeypatch.setattr(AlgebraicElement, "combination", staticmethod(combination_spy))
+        for N in range(1, 15):
+            built.clear()
+            assert verify_thm3(N, "symbolic", 22, b, odes["symbolic"]).passed
+            assert built == {"AlgebraicElement": 2, "combination": 1}, N
+            built.clear()
+            assert verify_thm3(N, "series", 22, b, odes["series"]).passed
+            assert not built, N
 
     def test_conv_table_is_the_dense_product(self, monkeypatch):
         """conv_table(60) is `_mul(u, cs, 61)` on the true inputs and with
