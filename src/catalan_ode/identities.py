@@ -15,19 +15,22 @@ denominator only where an input is wrong.  The eq59/eq62 sums are read
 through the ratio of consecutive terms, which over c_n = C_n/4^n is
 (3-2k)/(2k+2) for eq59 and k(2k-1)/(2(k+1)^2) for eq62, in two ways: a
 rigorous enclosure (L, U) / 2^W, W = 128, of the partial sum in integers
-(`_enclose`), which decides a pass against the pass band rounded inward to
-integers at 2^-W (`_eq59_ends`, `_eq62_ends`), and the exact partial sum
-T / Q by binary splitting (`_binary_split`), which decides a failure, or a
-pass the enclosure leaves open, against the band in `Fraction`s, gives a
-failure its witness and is what `sum_eq59`/`sum_eq62` return.  T / Q is
-compared by integer cross-multiplication, so it is never reduced; eq58
-carries its reference (1/2 choose n) as an unreduced pair the same way.
-A passing check builds a `Fraction` only where that exact fallback runs;
-otherwise `Fraction`s are built for failure witnesses and for what
-`sum_eq59`/`sum_eq62` return.  The only inexact steps are the typed-in
-constants: ln 2 to 36 digits and sqrt(2) to 40, which the sums are
-compared with up to a slack of 1e-25, and the 40-digit `Decimal`
-asymptotic ratio, compared with the band (0.99, 1.01) in `Decimal`s.
+(`_enclose`), which decides a pass, and the exact partial sum T / Q by
+binary splitting (`_binary_split`), which decides a failure, or a pass the
+enclosure leaves open, gives a failure its witness and is what
+`sum_eq59`/`sum_eq62` return.  Both meet one pass band per sum,
+`_eq59_band`/`_eq62_band`, in unreduced integers and affine in the first
+omitted term, which each mechanism already holds: the split as the last
+kept term P / Q times the next ratio, the enclosure as an interval, at
+both of whose ends the band is taken.  T / Q is compared over the band's
+denominator, so it is never reduced; eq58 carries its reference
+(1/2 choose n) as an unreduced pair the same way.  A passing check builds a
+`Fraction` only where that exact fallback runs; otherwise `Fraction`s are
+built for failure witnesses and for what `sum_eq59`/`sum_eq62` return.
+The only inexact steps are the typed-in constants: ln 2 to 36 digits and
+sqrt(2) to 40, which the sums are compared with up to a slack of 1e-25,
+and the 40-digit `Decimal` asymptotic ratio, compared with the band
+(0.99, 1.01) in `Decimal`s.
 
 thm1 and thm3 are read through the algebra of C, in both mechanisms
 (truncated series, or exact ring elements), with s = sqrt(1-4t):
@@ -441,14 +444,14 @@ def _binary_split(p, q, lo: int, hi: int) -> tuple[int, int, int]:
 W = 128
 
 
-def _enclose(p, q, lo: int, hi: int) -> tuple[int, int]:
-    """Integers (L, U) with L / 2^W <= the sum of `_binary_split` over the
-    same range <= U / 2^W, for q(k) > 0.  The current term is carried as
-    the interval [a, b] / 2^W, rounded outwards at each ratio, a x // y
-    below and -(-b x // y) above, with the ends swapped first where
-    p(k) = x < 0.  Each rounding widens the interval by less than one unit
-    of 2^-W, and a and b stay about W bits long, so the loop takes no big
-    product."""
+def _enclose(p, q, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Integers (L, U, a, b) with L / 2^W <= the sum of `_binary_split` over
+    the same range <= U / 2^W, and [a, b] / 2^W holding its last term, for
+    q(k) > 0.  The current term is carried as the interval [a, b] / 2^W,
+    rounded outwards at each ratio, a x // y below and -(-b x // y) above,
+    with the ends swapped first where p(k) = x < 0.  Each rounding widens the
+    interval by less than one unit of 2^-W, and a and b stay about W bits
+    long, so the loop takes no big product."""
     if hi < lo:
         raise ValueError("need lo <= hi")
     a = b = 1 << W
@@ -461,23 +464,7 @@ def _enclose(p, q, lo: int, hi: int) -> tuple[int, int]:
             a, b = b, a
         a, b = a * x // y, -(-b * x // y)
         L, U = L + a, U + b
-    return L, U
-
-
-def _floor_w(num: int, den: int) -> int:
-    """floor(num 2^W / den), for den > 0."""
-    return (num << W) // den
-
-
-def _ceil_w(num: int, den: int) -> int:
-    """ceil(num 2^W / den), for den > 0."""
-    return -((-num << W) // den)
-
-
-def _above(t: int, q: int, x: Fraction) -> int:
-    """An integer with the sign of t/q - x, for q > 0, by cross-multiplication,
-    so that t/q is never reduced."""
-    return t * x.denominator - x.numerator * q
+    return L, U, a, b
 
 
 # The eq59 and eq62 terms as (p, q) ratio pairs over c_n = C_n/4^n =
@@ -487,37 +474,62 @@ def _above(t: int, q: int, x: Fraction) -> int:
 EQ59_RATIO = (lambda k: 3 - 2 * k if k else 1, lambda k: 2 * k + 2 if k else 1)
 EQ62_RATIO = (lambda k: k * (2 * k - 1) if k else 1, lambda k: 2 * (k + 1) ** 2 if k else 4)
 
-
-def _eq59_band(terms: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(low, high, bound): a partial sum of `terms` terms passes eq59 when
-    low < it < high, with bound the first omitted term."""
-    if terms < 2:
-        raise ValueError("need at least 2 terms")
-    bound = Fraction(catalan_closed(terms), 4**terms * (2 * terms - 1))
-    target, slack = (4 * SQRT2_40 - 2) / 3, bound + EPS_CONST
-    return target - slack, target + slack, bound
+# The pass band of a partial sum of n terms, from its first omitted term
+# x / y, y > 0, as (low, high, den) in unreduced integers, with ends low / den
+# and high / den.  The ends are affine in x, and den is a multiple of y that
+# does not depend on x, so a sum inside the band at both ends of an interval
+# of x is inside it at every x in between.
 
 
-def _eq59_ends(terms: int) -> tuple[int, int]:
-    """Integers (lo, hi) with low <= lo / 2^W and hi / 2^W <= high for the
-    band (low, high) of `_eq59_band`: the target, the bound and the slack
-    are each rounded inward at 2^-W by one floor or ceil division, so no
-    gcd is taken.  A partial sum above lo / 2^W and below hi / 2^W passes."""
-    if terms < 2:
+def _eq59_band(n: int, x: int, y: int) -> tuple[int, int, int]:
+    """eq59 passes when low / den < partial < high / den: the target
+    (4 sqrt(2) - 2)/3 plus or minus the alternating-series bound, the modulus
+    (-1)^(n+1) x / y of the first omitted term, and the slack."""
+    if n < 2:
         raise ValueError("need at least 2 terms")
     r, e = SQRT2_40, EPS_CONST
-    num, den = 4 * r.numerator - 2 * r.denominator, 3 * r.denominator
-    # the bound C_n / (4^n (2n - 1)) plus the slack, rounded down
-    slack = (_floor_w(catalan_closed(terms), (2 * terms - 1) << (2 * terms))
-             + _floor_w(e.numerator, e.denominator))
-    return _ceil_w(num, den) - slack, _floor_w(num, den) + slack
+    center = (4 * r.numerator - 2 * r.denominator) * e.denominator * y
+    slack = 3 * r.denominator * ((x if n % 2 else -x) * e.denominator + e.numerator * y)
+    return center - slack, center + slack, 3 * r.denominator * e.denominator * y
 
 
-def _eq59(terms: int) -> tuple[int, int, Fraction, bool]:
-    """(T, Q, bound, pass flag) of `sum_eq59`, with T/Q the partial sum."""
-    low, high, bound = _eq59_band(terms)
-    _, q, t = _binary_split(*EQ59_RATIO, 0, terms)
-    return t, q, bound, _above(t, q, low) > 0 > _above(t, q, high)
+def _eq62_tail(n: int, x: int, y: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo / den and hi / den the ends of
+    `eq62_tail_enclosure`, with r_n = 4 (n+1)^2 x / y: lo = x R / (3 y 2^63),
+    with R = isqrt(n (n+1) 2^128), and hi = 8 (n+1)^2 (n+2) x / (3 (2n+1)^2 y),
+    over one den."""
+    root = isqrt((n * (n + 1)) << 128)
+    return (x * root * (2 * n + 1) ** 2, x * (n + 1) ** 2 * (n + 2) << 66,
+            3 * y * (2 * n + 1) ** 2 << 63)
+
+
+def _eq62_band(n: int, x: int, y: int) -> tuple[int, int, int]:
+    """eq62 passes when low / den <= partial <= high / den, that is when
+    (1 - ln 2) - partial lies in the `_eq62_tail` enclosure [lo, hi] of the
+    omitted tail, widened by the slack."""
+    if n < 1:
+        raise ValueError("need at least 1 term")
+    lo, hi, d = _eq62_tail(n, x, y)
+    g, e = LN2_36, EPS_CONST
+    scale = g.denominator * e.denominator
+    gap = (g.denominator - g.numerator) * e.denominator * d
+    eps = e.numerator * g.denominator * d
+    return gap - eps - hi * scale, gap + eps - lo * scale, scale * d
+
+
+def _split(ratio, band, strict: bool, n: int) -> tuple[int, int, int, int, bool]:
+    """(T, Q, x, y, pass flag) for the exact sum T / Q of n terms by
+    `_binary_split`, whose P / Q is the last kept term, so that
+    x / y = P p(n) / (Q q(n)) is the first omitted one.  The flag says that
+    T / Q lies inside `band` at x / y, the open band if strict, else the
+    closed one; since Q divides y and so den, T / Q is T (den / Q) / den and
+    is compared over den, never reduced."""
+    p, q = ratio
+    P, Q, T = _binary_split(p, q, 0, n)
+    x, y = P * p(n), Q * q(n)
+    low, high, den = band(n, x, y)
+    t = T * (den // Q)
+    return T, Q, x, y, (low < t < high if strict else low <= t <= high)
 
 
 def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
@@ -525,8 +537,8 @@ def sum_eq59(terms: int) -> tuple[Fraction, Fraction, bool]:
     (4 sqrt(2) - 2)/3.  Returns (partial sum, alternating-series bound from
     the first omitted term, pass flag), all three from the exact sum T/Q
     of `_binary_split`, the mechanism `report_eq59` falls back on."""
-    t, q, bound, passed = _eq59(terms)
-    return Fraction(t, q), bound, passed
+    t, q, x, y, passed = _split(EQ59_RATIO, _eq59_band, True, terms)
+    return Fraction(t, q), abs(Fraction(x, y)), passed
 
 
 def eq62_tail_enclosure(terms: int) -> tuple[Fraction, Fraction]:
@@ -546,95 +558,55 @@ def eq62_tail_enclosure(terms: int) -> tuple[Fraction, Fraction]:
         hi = 2 r_N (N+2) / (3(2N+1)^2).
 
     Both are of order terms^(-3/2) and agree to a relative O(1/terms).
-    The one square root is taken with `isqrt` and rounded down, so the
-    bounds are rigorous rationals; no floats and no pi are involved.
+    The one square root is taken with `isqrt` and rounded down, at 2^-64
+    resolution, so the bounds are rigorous rationals; no floats and no pi
+    are involved.  `_eq62_tail` writes them over the term at N itself.
     """
     if terms < 1:
         raise ValueError("need at least 1 term")
     n = terms
-    r = Fraction(comb(2 * n, n), 4**n)
-    # sqrt(n/(n+1)) = sqrt(n(n+1))/(n+1), rounded down at 2^-64 resolution
-    root = Fraction(isqrt((n * (n + 1)) << 128), (n + 1) << 64)
-    lo = r * root / (6 * (n + 1))
-    hi = 2 * r * (n + 2) / (3 * (2 * n + 1) ** 2)
-    return lo, hi
-
-
-def _eq62_band(terms: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(low, high, hi): a partial sum of `terms` terms passes eq62 when
-    low <= it <= high, with [lo, hi] the `eq62_tail_enclosure`."""
-    lo, hi = eq62_tail_enclosure(terms)
-    gap = 1 - LN2_36
-    return gap - hi - EPS_CONST, gap - lo + EPS_CONST, hi
-
-
-def _eq62_ends(terms: int) -> tuple[int, int]:
-    """Integers (lo, hi) with low <= lo / 2^W and hi / 2^W <= high for the
-    band [low, high] of `_eq62_band`, rounded inward as in `_eq59_ends`:
-    the gap 1 - ln 2, the `eq62_tail_enclosure` ends, written over
-    binom(2n, n) and the same `isqrt`, and the slack."""
-    if terms < 1:
-        raise ValueError("need at least 1 term")
-    n, g, e = terms, LN2_36, EPS_CONST
-    r = comb(2 * n, n)
-    # hi = 2 r (n + 2) / (3 (2n + 1)^2 4^n), rounded down
-    tail_hi = _floor_w(2 * r * (n + 2), 3 * (2 * n + 1) ** 2 << (2 * n))
-    # lo = r isqrt(n (n + 1) 2^128) / (6 (n + 1)^2 2^64 4^n), rounded up
-    tail_lo = _ceil_w(r * isqrt((n * (n + 1)) << 128), 6 * (n + 1) ** 2 << (2 * n + 64))
-    eps = _floor_w(e.numerator, e.denominator)
-    gap = g.denominator - g.numerator
-    return (_ceil_w(gap, g.denominator) - tail_hi - eps,
-            _floor_w(gap, g.denominator) - tail_lo + eps)
-
-
-def _eq62(terms: int) -> tuple[int, int, Fraction, bool]:
-    """(T, Q, hi, pass flag) of `sum_eq62`, with T/Q the partial sum."""
-    low, high, hi = _eq62_band(terms)
-    _, q, t = _binary_split(*EQ62_RATIO, 0, terms)
-    return t, q, hi, _above(t, q, low) >= 0 >= _above(t, q, high)
+    lo, hi, den = _eq62_tail(n, comb(2 * n, n), (n + 1) ** 2 << (2 * n + 2))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def sum_eq62(terms: int) -> tuple[Fraction, Fraction, bool]:
     """Partial sum of sum_n binom(2n,n) / ((n+1)^2 4^(n+1)), whose value is
     1 - ln 2.  Returns (partial sum, tail majorant hi, pass flag), from the
     exact sum T/Q of `_binary_split`, the mechanism `report_eq62` falls
-    back on.
+    back on.  The flag says that (1 - ln 2) - partial lies in the
+    `eq62_tail_enclosure` [lo, hi] of the omitted tail, up to the rounding
+    slack of the ln 2 constant; hi is a rigorous upper bound on the
+    truncation error."""
+    t, q, _, _, passed = _split(EQ62_RATIO, _eq62_band, False, terms)
+    return Fraction(t, q), eq62_tail_enclosure(terms)[1], passed
 
-    The omitted tail is enclosed by `eq62_tail_enclosure` in [lo, hi],
-    bounds of order terms^(-3/2) derived from the monotone ratios
-    r_m^2 m and r_m^2 (m+1/2) of r_m = binom(2m,m)/4^m.  The flag says that
-    (1 - ln 2) - partial lies in [lo, hi], up to the rounding slack of the
-    ln 2 constant; hi is a rigorous upper bound on the truncation error."""
-    t, q, hi, passed = _eq62(terms)
-    return Fraction(t, q), hi, passed
+
+def _report_sum(identity: str, ratio, band, strict: bool, n: int, target) -> VerificationReport:
+    """A sum of n terms passes where the `_enclose` enclosure (L, U) / 2^W of
+    the partial sum lies strictly inside `band` at both ends of the
+    enclosure [a p(n), b p(n)] / (q(n) 2^W) of the first omitted term, so
+    inside it at the true term, and the exact sum passes too; any other case
+    is decided by `_split`, which gives a failure its witness against
+    target()."""
+    p, q = ratio
+    L, U, a, b = _enclose(p, q, 0, n)
+    y = q(n) << W
+    low_a, high_a, den = band(n, a * p(n), y)
+    low_b, high_b, _ = band(n, b * p(n), y)
+    witness = None
+    if not max(low_a, low_b) << W < L * den <= U * den < min(high_a, high_b) << W:
+        T, Q, _, _, passed = _split(ratio, band, strict, n)
+        witness = None if passed else _witness(n, Fraction(T, Q), target())
+    return _report(identity, {"terms": n}, "numeric", witness)
 
 
 def report_eq59(terms: int) -> VerificationReport:
-    """eq59 passes where the `_enclose` enclosure (L, U) / 2^W of the partial
-    sum lies inside the integer band (lo, hi) / 2^W of `_eq59_ends`, which
-    lies inside the pass band of `sum_eq59`, so the exact sum passes too;
-    any other case is decided by the exact sum, which gives a failure its
-    witness."""
-    lo, hi = _eq59_ends(terms)
-    L, U = _enclose(*EQ59_RATIO, 0, terms)
-    witness = None
-    if not lo < L <= U < hi:
-        t, q, _, passed = _eq59(terms)
-        witness = None if passed else _witness(terms, Fraction(t, q), (4 * SQRT2_40 - 2) / 3)
-    return _report("eq59", {"terms": terms}, "numeric", witness)
+    return _report_sum("eq59", EQ59_RATIO, _eq59_band, True, terms,
+                       lambda: (4 * SQRT2_40 - 2) / 3)
 
 
 def report_eq62(terms: int) -> VerificationReport:
-    """eq62 decided as `report_eq59` is: by the `_enclose` enclosure where it
-    lies inside the integer band [lo, hi] / 2^W of `_eq62_ends`, else by the
-    exact sum of `sum_eq62`."""
-    lo, hi = _eq62_ends(terms)
-    L, U = _enclose(*EQ62_RATIO, 0, terms)
-    witness = None
-    if not lo <= L <= U <= hi:
-        t, q, _, passed = _eq62(terms)
-        witness = None if passed else _witness(terms, Fraction(t, q), 1 - LN2_36)
-    return _report("eq62", {"terms": terms}, "numeric", witness)
+    return _report_sum("eq62", EQ62_RATIO, _eq62_band, False, terms, lambda: 1 - LN2_36)
 
 
 def _conv_inputs(nmax: int) -> list[int]:

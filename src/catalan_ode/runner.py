@@ -29,9 +29,10 @@ JSON_SCHEMA_VERSION = "1"
 # K = 512, both modes with the table build, about 0.23 s and thm3 about
 # 0.15 s, eq64 and eq66 at 1000 about 0.15 s each alone, nearly all of it
 # the one self-square of `conv_table` they share, thm2 and thm4 at max-n 200
-# and eq59 and eq62 at 10000 terms 0.015-0.04 s each, and `verify --id all`
-# with every flag at its bound about 0.6 s in process (CPython 3.11.7, one
-# core of a 2-vCPU Intel Xeon VM whose speed drifts).
+# and eq59 and eq62 at 10000 terms 0.005-0.01 s each, a passing report
+# taking no exact split, and `verify --id all` with every flag at its bound
+# about 0.5 s in process (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM
+# whose speed drifts).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when thm1 or thm3, the only checks that read both, runs.
 BOUNDS = (

@@ -1,7 +1,7 @@
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, gcd, prod
+from math import ceil, comb, factorial, floor, gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -333,11 +333,11 @@ class TestSumsBySplitting:
             return P, Q, T
 
         def scaled_enclosure(p, q, lo, hi):
-            L, U = enclose(p, q, lo, hi)
+            L, U, a, b = enclose(p, q, lo, hi)
             if (lo, hi) == (0, terms):
                 shift = (factor - 1) * term(n) * 2**identities.W
                 L, U = L + floor(shift), U + ceil(shift)
-            return L, U
+            return L, U, a, b
 
         monkeypatch.setattr(identities, "_binary_split", scaled)
         monkeypatch.setattr(identities, "_enclose", scaled_enclosure)
@@ -397,7 +397,7 @@ class TestSumsBySplitting:
             sys.set_int_max_str_digits(limit)
 
 
-# the eq59 and eq62 term ratios, as `_eq59` and `_eq62` split them
+# the eq59 and eq62 term ratios, as `_split` and `_enclose` read them
 RATIOS = {
     "eq59": (lambda k: 3 - 2 * k if k else 1, lambda k: 2 * k + 2 if k else 1),
     "eq62": (lambda k: k * (2 * k - 1) if k else 1, lambda k: 2 * (k + 1) ** 2 if k else 4),
@@ -467,10 +467,12 @@ class TestEnclosure:
     @pytest.mark.parametrize("identity", SUMS)
     def test_contains_the_exact_sum(self, identity):
         ratio = getattr(identities, f"{identity.upper()}_RATIO")
+        term = SUMS[identity][1]
         one = 1 << identities.W
         for terms in _sizes(identity):
-            L, U = identities._enclose(*ratio, 0, terms)
+            L, U, a, b = identities._enclose(*ratio, 0, terms)
             assert Fraction(L, one) <= SUMS[identity][0](terms)[0] <= Fraction(U, one), terms
+            assert Fraction(a, one) <= term(terms - 1) <= Fraction(b, one), terms
 
     @pytest.mark.parametrize("identity", SUMS)
     def test_report_agrees_with_the_exact_flag(self, identity):
@@ -488,7 +490,7 @@ class TestEnclosure:
         old = identities.W
         try:
             identities.W = width
-            L, U = identities._enclose(p, q, 0, len(pairs))
+            L, U, _, _ = identities._enclose(p, q, 0, len(pairs))
         finally:
             identities.W = old
         _, Q, T = identities._binary_split(p, q, 0, len(pairs))
@@ -496,7 +498,7 @@ class TestEnclosure:
 
     def test_argument_errors(self):
         p, q = RATIOS["eq59"]
-        assert identities._enclose(p, q, 3, 3) == (0, 0)
+        assert identities._enclose(p, q, 3, 3)[:2] == (0, 0)
         with pytest.raises(ValueError):
             identities._enclose(p, q, 3, 2)
         with pytest.raises(ValueError):
@@ -507,16 +509,47 @@ class TestEnclosure:
         """eq62 at 3000 terms and eq59 at 2000 are wider than one unit of
         2^-W, since the ratio's modulus is near 1, but below 2^-100."""
         ratio = getattr(identities, f"{identity.upper()}_RATIO")
-        L, U = identities._enclose(*ratio, 0, {"eq59": 2000, "eq62": 3000}[identity])
+        L, U, _, _ = identities._enclose(*ratio, 0, {"eq59": 2000, "eq62": 3000}[identity])
         assert 1 < U - L < 2 ** (identities.W - 100)
 
     @pytest.mark.parametrize("identity", SUMS)
     def test_passing_report_makes_no_split(self, identity, monkeypatch):
+        """A passing report reads its first omitted term off the enclosure,
+        so it takes no split and builds neither C_n nor binom(2n, n)."""
         calls = _split_calls(monkeypatch)
+        closed = []
+        for name in ("catalan_closed", "comb"):
+            def spy(*args, name=name, f=getattr(identities, name)):
+                closed.append(name)
+                return f(*args)
+            monkeypatch.setattr(identities, name, spy)
         report = report_eq59 if identity == "eq59" else report_eq62
         for terms in (SUMS[identity][2], 10, SUMS[identity][3], 3000):
             assert report(terms).passed
         assert calls == []
+        assert closed == []
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_term_enclosure_read_at_both_ends(self, end, monkeypatch):
+        """With ln 2 moved so that the 1-term sum 1/4 lies 2^-200 outside
+        one end of the eq62 band, and the enclosure of the last term widened
+        by 2^-7 each way, the band holds 1/4 at one end of that interval
+        (the larger term for the low end, the smaller for the high end), and
+        the report must still fail."""
+        lo, hi = eq62_tail_enclosure(1)
+        tiny = Fraction(1, 2**200)
+        gap = Fraction(1, 4) + (hi + EPS_CONST + tiny if end == "low" else lo - EPS_CONST - tiny)
+        monkeypatch.setattr(identities, "LN2_36", 1 - gap)
+        enclose = identities._enclose
+
+        def widened(p, q, lo, hi):
+            L, U, a, b = enclose(p, q, lo, hi)
+            delta = 1 << (identities.W - 7)
+            return L, U, a - delta, b + delta
+
+        monkeypatch.setattr(identities, "_enclose", widened)
+        assert not sum_eq62(1)[2]
+        assert not report_eq62(1).passed
 
     @pytest.mark.parametrize("shift", [Fraction(1, 1000), Fraction(-1, 1000)])
     @pytest.mark.parametrize("identity,terms", [("eq59", 100), ("eq59", 500),
@@ -554,38 +587,91 @@ class TestEnclosure:
             monkeypatch.undo()
 
 
-class TestIntegerBands:
-    """`_eq59_ends`/`_eq62_ends`: the pass bands of eq59/eq62 as integers at
-    2^-W, each end rounded inward by less than three units."""
+def _fraction_tail(n):
+    """`eq62_tail_enclosure` as `Fraction`s over r_n = binom(2n, n) / 4^n."""
+    r = Fraction(comb(2 * n, n), 4**n)
+    root = Fraction(isqrt((n * (n + 1)) << 128), (n + 1) << 64)
+    return r * root / (6 * (n + 1)), 2 * r * (n + 2) / (3 * (2 * n + 1) ** 2)
 
-    @pytest.mark.parametrize("width", [0, 2, 5, 128])
-    def test_inside_the_fraction_band(self, width, monkeypatch):
-        monkeypatch.setattr(identities, "W", width)
-        scale = 2**width
-        bands = ((identities._eq59_ends, identities._eq59_band, 2),
-                 (identities._eq62_ends, identities._eq62_band, 1))
-        for terms in [*range(1, 301), 500, 2000, 3000, 10000]:
-            for ends, band, smallest in bands:
-                if terms < smallest:
-                    continue
-                lo, hi = ends(terms)
-                low, high, _ = band(terms)
-                assert low * scale <= lo < low * scale + 3, (terms, width)
-                assert high * scale - 3 < hi <= high * scale, (terms, width)
+
+def _fraction_band(identity, n):
+    """The pass band of n terms as `Fraction`s, from C_n and binom(2n, n),
+    with the constants read at call time."""
+    eps = identities.EPS_CONST
+    if identity == "eq59":
+        target = (4 * identities.SQRT2_40 - 2) / 3
+        slack = Fraction(catalan_closed(n), 4**n * (2 * n - 1)) + eps
+        return target - slack, target + slack
+    lo, hi = _fraction_tail(n)
+    gap = 1 - identities.LN2_36
+    return gap - hi - eps, gap - lo + eps
+
+
+BANDS = {"eq59": identities._eq59_band, "eq62": identities._eq62_band}
+
+
+class TestPassBands:
+    """`_eq59_band`/`_eq62_band`: the pass bands of eq59/eq62 in unreduced
+    integers, as functions of the first omitted term x / y."""
+
+    @pytest.mark.parametrize("identity", SUMS)
+    def test_fraction_band_at_the_omitted_term(self, identity):
+        term = SUMS[identity][1]
+        for n in _sizes(identity):
+            low, high, den = BANDS[identity](n, term(n).numerator, term(n).denominator)
+            assert (Fraction(low, den), Fraction(high, den)) == _fraction_band(identity, n), n
+            if identity == "eq62":
+                assert eq62_tail_enclosure(n) == _fraction_tail(n), n
+
+    @given(st.integers(2, 10**4), st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    @settings(max_examples=100)
+    def test_affine_in_the_term(self, n, x, y):
+        """Each end is affine in x, which lets a report decide at the two
+        ends of an enclosed term, and den is a multiple of y that does not
+        depend on x, which lets the exact sum be compared over den."""
+        for band in BANDS.values():
+            (low0, high0, den0), (low1, high1, den1) = band(n, 0, y), band(n, 1, y)
+            low, high, den = band(n, x, y)
+            assert den == den0 == den1 and den % y == 0
+            assert low - low0 == x * (low1 - low0)
+            assert high - high0 == x * (high1 - high0)
 
     @pytest.mark.parametrize("name", ["SQRT2_40", "LN2_36", "EPS_CONST"])
     def test_constants_read_at_call_time(self, name, monkeypatch):
-        """A constant moved after import moves the integer band with it."""
-        before = (identities._eq59_ends(500), identities._eq62_ends(2000))
+        """A constant moved after import moves the band with it."""
+        before = (BANDS["eq59"](500, 1, 10**6), BANDS["eq62"](2000, 1, 10**6))
         monkeypatch.setattr(identities, name, getattr(identities, name) + Fraction(1, 1000))
-        after = (identities._eq59_ends(500), identities._eq62_ends(2000))
+        after = (BANDS["eq59"](500, 1, 10**6), BANDS["eq62"](2000, 1, 10**6))
         assert [b != a for b, a in zip(before, after)] == [name != "LN2_36", name != "SQRT2_40"]
 
     def test_too_few_terms(self):
         with pytest.raises(ValueError, match="at least 2 terms"):
-            identities._eq59_ends(1)
+            BANDS["eq59"](1, 1, 1)
         with pytest.raises(ValueError, match="at least 1 term"):
-            identities._eq62_ends(0)
+            BANDS["eq62"](0, 1, 1)
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_eq59_band_is_open(self, end, monkeypatch):
+        """With sqrt(2) moved so that an end of the band is the 2-term sum
+        5/4, whose first omitted term is -1/24, the sum and the report fail."""
+        target = Fraction(5, 4) + (1 if end == "low" else -1) * (Fraction(1, 24) + EPS_CONST)
+        monkeypatch.setattr(identities, "SQRT2_40", (3 * target + 2) / 4)
+        assert _fraction_band("eq59", 2)[end == "high"] == Fraction(5, 4)
+        assert sum_eq59(2) == (Fraction(5, 4), Fraction(1, 24), False)
+        rep = report_eq59(2)
+        assert not rep.passed
+        assert rep.witness == {"index": "2", "lhs": "5/4", "rhs": str(target)}
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_eq62_band_is_closed(self, end, monkeypatch):
+        """With ln 2 moved so that an end of the band is the 1-term sum 1/4,
+        the sum and the report pass."""
+        lo, hi = eq62_tail_enclosure(1)
+        gap = Fraction(1, 4) + (hi + EPS_CONST if end == "low" else lo - EPS_CONST)
+        monkeypatch.setattr(identities, "LN2_36", 1 - gap)
+        assert _fraction_band("eq62", 1)[end == "high"] == Fraction(1, 4)
+        assert sum_eq62(1)[2]
+        assert report_eq62(1).passed
 
 
 class TestThm2RowScans:
