@@ -21,8 +21,7 @@ import sys
 from .bfile import parse_bfile
 from .catalan import catalan_closed, higher_catalan
 from .coefficients import a_table_recurrence, b_table_recurrence
-from .identities import IDENTITY_IDS
-from .runner import BOUNDS, RunConfig, check_bounds, emit_report, run_suite
+from .runner import BOUNDS, JOBS, RunConfig, check_bounds, emit_report, run_suite
 from .series import catalan_series
 
 
@@ -100,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity verification")
     p.set_defaults(run=_cmd_verify)
     p.add_argument("--id", dest="identity", default="all",
-                   choices=IDENTITY_IDS + ("all",))
+                   choices=(*JOBS, "all"))
     p.add_argument("--format", dest="fmt", choices=("human", "json"), default="human")
 
     p = sub.add_parser("crosscheck", help="check Catalan values against a b-file")

@@ -53,19 +53,7 @@ Every step is exact and linear in the a/b row, so the compared elements do
 not depend on how they were built.  `_compare` turns the two sides into a
 report; ring elements are compared by their canonical records, and
 lhs - rhs is built only for a failure.  A failing report's witness holds
-exact decimal strings of any length.  `VERIFIERS` maps every identity id to
-its verifier; the runner calls and times them.
-
-The work a grid of jobs shares is built once per grid, as a table: for thm1
-and thm3 together, `ode_table`, the powers C^(k+1) and the derivatives
-D^k C up to the largest N in one mechanism; for thm2 and thm4,
-`number_row`, the s-powers times the closed-form inputs, truncated, for
-every n of one row N; for eq64 and eq66, `conv_table`, the one
-convolution of the weights with the Catalan inputs, on the true inputs read
-off one self-square, from which eq66 drops its m = 0 and m = n terms.  The
-runner builds each table before the checks and passes it as the verifier's
-last argument; a verifier called alone builds its own, so a job reads the
-same elements either way.
+exact decimal strings of any length.
 """
 from __future__ import annotations
 
@@ -90,23 +78,6 @@ from .series import (
     half_power_coeffs,
     sqrt_one_plus_series,
 )
-
-# identity id -> name of its verifier in this module; the runner looks the
-# name up at call time
-VERIFIERS = {
-    "thm1": "verify_thm1",
-    "thm2": "verify_thm2",
-    "thm3": "verify_thm3",
-    "thm4": "verify_thm4",
-    "eq57": "verify_inverse_delta",
-    "eq58": "verify_sqrt_expansion",
-    "eq59": "report_eq59",
-    "eq62": "report_eq62",
-    "eq64": "verify_eq64",
-    "eq66": "verify_eq66",
-    "asymptotic": "verify_asymptotic",
-}
-IDENTITY_IDS = tuple(VERIFIERS)
 
 # Slack for the decimal rounding of the hardcoded constants below.
 EPS_CONST = Fraction(1, 10**25)
@@ -269,31 +240,34 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
     return _compare("thm1", params, mode, derivs[N], rhs)
 
 
-def number_row(identity: str, N: int, nmax: int) -> list[list[int]]:
-    """Row N of the number identity thm2 or thm4: for each i of the row, the
-    t^0..t^nmax coefficients of one summand of thm1 or thm3, s^e times the
-    closed-form inputs,
+def number_table(identity: str, N: int, nmax: int) -> list[list[list[int]]]:
+    """Rows 1..N of the number identity thm2 or thm4.  Row M holds, for each
+    i of the row, the t^0..t^nmax coefficients of one summand of thm1 or
+    thm3, s^e times the closed-form inputs,
 
-        thm2, i = 1..N:      s^(i-2N)  by  C^(i+1)_m,
-        thm4, i = 0..N//2:   s^(N-2i)  by  (m+N-i)!/m! C_{m+N-i}.
+        thm2, i = 1..M:      s^(i-2M)  by  C^(i+1)_m,
+        thm4, i = 0..M//2:   s^(M-2i)  by  (m+M-i)!/m! C_{m+M-i},
 
-    An even e is e/2 scans of `_u_power_times`.  The thm2 summand of odd i
-    is s^(i-2N-1) (2 C^i - C^(i+1)), from s C = 2 - C, so every thm2 row
-    is (1-4t)^(i//2 - N) times closed-form inputs, and takes no product;
-    the thm4 rows of odd N take one truncated product by [t^m] s^e each.
-    Job (n, N) reads sum_i a_i(N) row[i][n] (b_i(N) for thm4), so the a/b
-    table stays a job argument."""
+    and the rows share one list of each input, C^1..C^(N+1) or, for
+    j = 0..N, (m+j)!/m! C_{m+j}.  An even e is e/2 scans of
+    `_u_power_times`.  The thm2 summand of odd i is
+    s^(i-2M-1) (2 C^i - C^(i+1)), from s C = 2 - C, so every thm2 row is
+    (1-4t)^(i//2 - M) times closed-form inputs, and takes no product; the
+    thm4 rows of odd M take one truncated product by [t^m] s^e each.  Job
+    (n, M) reads sum_i a_i(M) row[i][n] (b_i(M) for thm4), so the a/b table
+    stays a job argument."""
     if identity == "thm2":
         powers = [[higher_catalan(r, m) for m in range(nmax + 1)] for r in range(1, N + 2)]
-        return [_u_power_times(i // 2 - N, [2 * x - y for x, y in zip(powers[i - 1], powers[i])]
-                               if i % 2 else powers[i])
-                for i in range(1, N + 1)]
-    rows = []
-    for i in range(0, N // 2 + 1):
-        inputs = [perm(m + N - i, N - i) * catalan_closed(m + N - i) for m in range(nmax + 1)]
-        rows.append(_mul(half_power_coeffs(N - 2 * i, nmax), inputs, nmax + 1) if N % 2
-                    else _u_power_times(N // 2 - i, inputs))
-    return rows
+        return [[_u_power_times(i // 2 - M, [2 * x - y for x, y in zip(powers[i - 1], powers[i])]
+                                if i % 2 else powers[i])
+                 for i in range(1, M + 1)]
+                for M in range(1, N + 1)]
+    inputs = [[perm(m + j, j) * catalan_closed(m + j) for m in range(nmax + 1)]
+              for j in range(N + 1)]
+    return [[_mul(half_power_coeffs(M - 2 * i, nmax), inputs[M - i], nmax + 1) if M % 2
+             else _u_power_times(M // 2 - i, inputs[M - i])
+             for i in range(M // 2 + 1)]
+            for M in range(1, N + 1)]
 
 
 def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
@@ -301,13 +275,13 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
     """C_{n+N} recovered from the forward expansion: the t^n coefficient of
     thm1, (n+N)!/n! C_{n+N} = sum_i a_i(N) sum_m c_m C^(i+1)_{n-m}, with
     c_m = 4^m binom((2N-i)/2 + m - 1, m) = [t^m] (1-4t)^(-(2N-i)/2); the
-    inner sums are read from `row`, the thm2 `number_row` N."""
+    inner sums are read from `row`, row N of the thm2 `number_table`."""
     N = n_deriv
     if n < 0 or N < 1:
         raise ValueError("need n >= 0 and N >= 1")
     table = a_table if a_table is not None else a_table_recurrence(N)
     if row is None:
-        row = number_row("thm2", N, n)
+        row = number_table("thm2", N, n)[-1]
     total = sum(a * coeffs[n] for a, coeffs in zip(table.row(N), row))
     target, scale = catalan_closed(n + N), perm(n + N, N)
     witness = None if total == target * scale else _witness(n, Fraction(total, scale), target)
@@ -362,13 +336,13 @@ def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,
     """C_k^(N+1) recovered from the inverse expansion: the t^k coefficient
     of thm3, N! C^(N+1)_k = sum_i b_i(N) sum_m c_{k-m} (m+N-i)!/m! C_{m+N-i},
     with c_j = binom(N/2 - i, j) (-4)^j = [t^j] (1-4t)^(N/2-i); the inner
-    sums are read from `row`, the thm4 `number_row` N."""
+    sums are read from `row`, row N of the thm4 `number_table`."""
     N = n_pow
     if k < 0 or N < 1:
         raise ValueError("need k >= 0 and N >= 1")
     table = b_table if b_table is not None else b_table_recurrence(N)
     if row is None:
-        row = number_row("thm4", N, k)
+        row = number_table("thm4", N, k)[-1]
     total = sum(b * coeffs[k] for b, coeffs in zip(table.row(N), row))
     target, scale = higher_catalan(N + 1, k), factorial(N)
     witness = None if total == target * scale else _witness(k, Fraction(total, scale), target)

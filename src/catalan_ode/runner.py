@@ -1,22 +1,27 @@
 """Verification-suite assembly, report emission, and `BOUNDS`, the range of
 every integer CLI flag, with `check_bounds`, the one check that reads it.
 
-A job is plain data: an identity id and the argument tuple of its verifier,
-which `identities.VERIFIERS` names; thm1-thm4, eq64 and eq66 jobs carry
-their grid's table as the last argument.  `run_suite` builds those tables,
-then runs the jobs one after another in one thread, times each into its
-report's `cost` (the one-off table build is not in it), and always sorts
-the reports the same way, which keeps the JSON output byte-deterministic
-(elapsed times are reported in the human table only, never in JSON).
+`JOBS` is the suite: one row per identity id, with the name of its verifier
+in `identities`, looked up at call time, the kinds of shared table its jobs
+read, and its argument grid, a function of the `RunConfig` and of
+`table(kind, *key)`, which builds a table by the `identities` function that
+`BUILDERS` names, once per (kind, key) per run, when a selected grid first
+asks for it.  A job is plain data, an identity id and its verifier's
+arguments, the tables last; a verifier called alone builds its own, so a
+job reads the same elements either way.  `run_suite` runs the jobs one after
+another in one thread, times each into its report's `cost` (the table
+builds are not in it), and always sorts the reports the same way, which
+keeps the JSON output byte-deterministic (elapsed times are reported in the
+human table only, never in JSON).
 """
 from __future__ import annotations
 
 import json
+from functools import cache
 from time import perf_counter
 
 from . import identities as ids
-from .coefficients import a_table_recurrence, b_table_recurrence
-from .identities import IDENTITY_IDS, VerificationReport
+from .identities import VerificationReport
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -34,7 +39,8 @@ JSON_SCHEMA_VERSION = "1"
 # about 0.5 s in process (CPython 3.11.7, one core of a 2-vCPU Intel Xeon VM
 # whose speed drifts).
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
-# relates the two when thm1 or thm3, the only checks that read both, runs.
+# relates the two when a check that reads the `ode_table` runs, as only those
+# read both.
 BOUNDS = (
     ("catalan", "--max", "max", 0, 2500),
     ("higher", "--r", "r", 1, 1000),
@@ -87,52 +93,72 @@ class RunConfig:
 
     def validate(self, identity: str = "all") -> None:
         check_bounds("verify", self)
-        if identity in ("thm1", "thm3", "all") and self.series_order < self.max_n_deriv + 8:
+        if self.series_order < self.max_n_deriv + 8 and any(
+                "ode" in reads for _, (_, reads, _) in _rows(identity)):
             raise ValueError("series order K must be at least max N + 8")
+
+
+def _ode_grid(coeffs: str):
+    """The thm1/thm3 grid: N = 1..max-N in both modes, on the `coeffs` table
+    and the `ode_table` of each mode."""
+    return lambda cfg, table: [
+        (N, mode, cfg.series_order, table(coeffs, cfg.max_n_deriv),
+         table("ode", cfg.max_n_deriv, mode, cfg.series_order))
+        for mode in ("series", "symbolic") for N in range(1, cfg.max_n_deriv + 1)]
+
+
+def _number_grid(identity: str, coeffs: str):
+    """The thm2/thm4 grid: n = 0..max-n on each row N of the grid's
+    `number_table`, on the `coeffs` table."""
+    def grid(cfg, table):
+        rows = table("number", identity, min(cfg.max_n_deriv, NUMBER_MAX_N), cfg.max_index)
+        coeff_table = table(coeffs, cfg.max_n_deriv)
+        return [(n, N, coeff_table, row)
+                for N, row in enumerate(rows, 1) for n in range(cfg.max_index + 1)]
+    return grid
+
+
+def _conv_grid(cfg, table):
+    """The one eq64/eq66 job, on the `conv_table` of conv-max."""
+    return [(cfg.conv_max, table("conv", cfg.conv_max))]
+
+
+# identity id -> (verifier name, kinds of shared table read, argument grid)
+JOBS = {
+    "thm1": ("verify_thm1", ("a", "ode"), _ode_grid("a")),
+    "thm2": ("verify_thm2", ("a", "number"), _number_grid("thm2", "a")),
+    "thm3": ("verify_thm3", ("b", "ode"), _ode_grid("b")),
+    "thm4": ("verify_thm4", ("b", "number"), _number_grid("thm4", "b")),
+    "eq57": ("verify_inverse_delta", ("a", "b"), lambda cfg, table: [
+        (N, table("a", cfg.max_n_deriv), table("b", cfg.max_n_deriv))
+        for N in range(1, cfg.max_n_deriv + 1)]),
+    "eq58": ("verify_sqrt_expansion", (), lambda cfg, table: [(cfg.series_order,)]),
+    "eq59": ("report_eq59", (), lambda cfg, table: [(cfg.terms_eq59,)]),
+    "eq62": ("report_eq62", (), lambda cfg, table: [(cfg.terms_eq62,)]),
+    "eq64": ("verify_eq64", ("conv",), _conv_grid),
+    "eq66": ("verify_eq66", ("conv",), _conv_grid),
+    "asymptotic": ("verify_asymptotic", (), lambda cfg, table: [()]),
+}
+
+# kind of shared table -> name of its builder in `identities`, looked up at
+# call time; the table's key is the builder's arguments
+BUILDERS = {"a": "a_table_recurrence", "b": "b_table_recurrence", "ode": "ode_table",
+            "number": "number_table", "conv": "conv_table"}
+
+
+def _rows(identity: str) -> list[tuple[str, tuple]]:
+    """The (id, row) items of JOBS of one identity id, or of all of them."""
+    if identity != "all" and identity not in JOBS:
+        raise ValueError(f"unknown identity {identity!r}")
+    return [(ident, row) for ident, row in JOBS.items() if identity in (ident, "all")]
 
 
 def _jobs(identity: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     """(identity, verifier arguments) of every check of one identity, or of
-    all of them.  thm1-thm4 and eq57 share the one a and b table built here.
-    Each selected grid's table is built here once and rides in its jobs as
-    the last argument: one `ode_table` per mode that thm1 and thm3 share
-    (its powers of C and its derivatives D^k C, so both grids take max-N
-    derivatives in all, not one ladder of them per job), one thm2 or thm4
-    `number_row` per row N, and one `conv_table` for eq64 and eq66.
-    An unselected identity builds nothing, so the order rule of thm1/thm3
-    binds only when they run."""
-    if identity != "all" and identity not in ids.VERIFIERS:
-        raise ValueError(f"unknown identity {identity!r}")
-    a_tab = a_table_recurrence(cfg.max_n_deriv)
-    b_tab = b_table_recurrence(cfg.max_n_deriv)
-    rows = range(1, cfg.max_n_deriv + 1)
-    number_rows = range(1, min(cfg.max_n_deriv, NUMBER_MAX_N) + 1)
-    coeffs = {"thm1": a_tab, "thm2": a_tab, "thm3": b_tab, "thm4": b_tab}
-    conv = ids.conv_table(cfg.conv_max) if identity in ("all", "eq64", "eq66") else None
-    ode = ({mode: ids.ode_table(cfg.max_n_deriv, mode, cfg.series_order)
-            for mode in ("series", "symbolic")}
-           if identity in ("all", "thm1", "thm3") else None)
-    fixed = {
-        "eq57": [(N, a_tab, b_tab) for N in rows],
-        "eq58": [(cfg.series_order,)],
-        "eq59": [(cfg.terms_eq59,)],
-        "eq62": [(cfg.terms_eq62,)],
-        "eq64": [(cfg.conv_max, conv)],
-        "eq66": [(cfg.conv_max, conv)],
-        "asymptotic": [()],
-    }
-    jobs = []
-    for ident in (IDENTITY_IDS if identity == "all" else (identity,)):
-        if ident in ("thm1", "thm3"):
-            jobs += [(ident, (N, mode, cfg.series_order, coeffs[ident], ode[mode]))
-                     for mode in ("series", "symbolic") for N in rows]
-        elif ident in ("thm2", "thm4"):
-            for N in number_rows:
-                row = ids.number_row(ident, N, cfg.max_index)
-                jobs += [(ident, (n, N, coeffs[ident], row)) for n in range(cfg.max_index + 1)]
-        else:
-            jobs += [(ident, args) for args in fixed[ident]]
-    return jobs
+    all of them, with the shared tables of the selected grids built here."""
+    table = cache(lambda kind, *key: getattr(ids, BUILDERS[kind])(*key))
+    return [(ident, args) for ident, (_, _, grid) in _rows(identity)
+            for args in grid(cfg, table)]
 
 
 def _sort_key(r: VerificationReport):
@@ -145,7 +171,7 @@ def run_suite(identity: str, cfg: RunConfig) -> list[VerificationReport]:
     cfg.validate(identity)
     reports = []
     for ident, args in _jobs(identity, cfg):
-        verify = getattr(ids, ids.VERIFIERS[ident])
+        verify = getattr(ids, JOBS[ident][0])
         start = perf_counter()
         report = verify(*args)
         report.cost = perf_counter() - start

@@ -33,6 +33,9 @@ GOLDEN_FLAGS = {
                      "--terms-eq59", "2000", "--terms-eq62", "3000", "--conv-max", "400"],
     # thm1/thm3 rows up to 40, where the other golden sets stop at 14
     "deep_rows": ["--max-N", "40", "--order", "48"],
+    # every flag at its upper bound in BOUNDS
+    "bounds": ["--max-N", "40", "--order", "512", "--max-n", "200", "--terms-eq59", "10000",
+               "--terms-eq62", "10000", "--conv-max", "1000"],
 }
 
 

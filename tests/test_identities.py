@@ -37,7 +37,7 @@ from catalan_ode.identities import (
     verify_thm3,
     verify_thm4,
 )
-from catalan_ode.runner import BOUNDS, NUMBER_MAX_N, RunConfig, _jobs, run_suite
+from catalan_ode.runner import BOUNDS, BUILDERS, JOBS, NUMBER_MAX_N, RunConfig, _jobs, run_suite
 from catalan_ode.series import (
     Series,
     _mul,
@@ -675,8 +675,8 @@ class TestPassBands:
 
 
 class TestThm2RowScans:
-    """thm2 `number_row`s by scans in u = 1 - 4t, and thm4's of even N,
-    against the truncated products they replace."""
+    """thm2 `number_table`s by scans in u = 1 - 4t, and thm4's rows of even
+    N, against the truncated products they replace."""
 
     @staticmethod
     def _dense_row(identity, N, nmax):
@@ -692,9 +692,8 @@ class TestThm2RowScans:
     @pytest.mark.parametrize("nmax", [0, 1, 20, 40, 200])
     @pytest.mark.parametrize("identity", ["thm2", "thm4"])
     def test_equals_the_dense_product(self, identity, nmax):
-        for N in range(1, 13):
-            assert identities.number_row(identity, N, nmax) == \
-                self._dense_row(identity, N, nmax), N
+        rows = identities.number_table(identity, 12, nmax)
+        assert rows == [self._dense_row(identity, N, nmax) for N in range(1, 13)]
 
     @pytest.mark.parametrize("identity", ["thm2", "thm4"])
     def test_products(self, identity, monkeypatch):
@@ -709,9 +708,9 @@ class TestThm2RowScans:
         monkeypatch.setattr(identities, "_mul", spy)
         for N in range(1, 13):
             calls.clear()
-            identities.number_row(identity, N, 40)
-            odd_thm4 = identity == "thm4" and N % 2
-            assert calls == ([41] * (N // 2 + 1) if odd_thm4 else []), N
+            identities.number_table(identity, N, 40)
+            odd_rows = range(1, N + 1, 2) if identity == "thm4" else ()
+            assert calls == [41] * sum(M // 2 + 1 for M in odd_rows), N
 
 
 class TestConvolutionRecurrences:
@@ -958,8 +957,8 @@ class TestFailureWitness:
 
 class TestGridTables:
     """The runner builds each grid's table once and hands it to every job:
-    one `ode_table` per mode for thm1 and thm3, one `number_row` per
-    thm2/thm4 row, one `conv_table` for eq64 and eq66."""
+    one `ode_table` per mode for thm1 and thm3, one `number_table` per
+    thm2/thm4 grid, one `conv_table` for eq64 and eq66."""
 
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
@@ -983,46 +982,66 @@ class TestGridTables:
         assert products == 1
 
     def test_run_suite_builds_each_table_once(self, monkeypatch):
-        """`ode_table` and `conv_table` also build the table of a verifier
-        called alone, so a job without its table would show here as one
-        more build; thm1 and thm3 share one `ode_table` per mode."""
+        """Each identity alone builds exactly the tables its row of the job
+        table reads, each once, and the whole suite builds their union;
+        thm1 and thm3 share one `ode_table` per mode, eq64 and eq66 one
+        `conv_table`, and thm1, thm2 and eq57 one a table.  The runner looks
+        its builders up in `identities`, where the verifiers build their own
+        tables too, so a job without its table shows as one more build."""
         calls = Counter()
-        ode_table, number_row = identities.ode_table, identities.number_row
-        conv_table = identities.conv_table
+        for name in BUILDERS.values():
+            def spy(*key, name=name, build=getattr(identities, name)):
+                calls[(name, *key)] += 1
+                return build(*key)
 
-        def ode_spy(N, mode, order):
-            calls["ode_table", N, mode] += 1
-            return ode_table(N, mode, order)
-
-        def row_spy(identity, N, nmax):
-            calls["number_row", identity, N, nmax] += 1
-            return number_row(identity, N, nmax)
-
-        def conv_spy(nmax):
-            calls["conv_table", nmax] += 1
-            return conv_table(nmax)
-
-        monkeypatch.setattr(identities, "ode_table", ode_spy)
-        monkeypatch.setattr(identities, "number_row", row_spy)
-        monkeypatch.setattr(identities, "conv_table", conv_spy)
+            monkeypatch.setattr(identities, name, spy)
         cfg = RunConfig()
-        reports = run_suite("all", cfg)
-        assert all(r.passed for r in reports)
-        expected = Counter(
-            [("ode_table", cfg.max_n_deriv, mode) for mode in ("series", "symbolic")]
-            + [("number_row", ident, N, cfg.max_index)
-               for ident in ("thm2", "thm4") for N in range(1, NUMBER_MAX_N + 1)]
-            + [("conv_table", cfg.conv_max)]
-        )
-        assert calls == expected
-        for identity, builds in (("eq66", 1), ("thm1", 0)):
+        a, b = ("a_table_recurrence", cfg.max_n_deriv), ("b_table_recurrence", cfg.max_n_deriv)
+        ode = [("ode_table", cfg.max_n_deriv, mode, cfg.series_order)
+               for mode in ("series", "symbolic")]
+        conv = ("conv_table", cfg.conv_max)
+
+        def number(ident):
+            return ("number_table", ident, NUMBER_MAX_N, cfg.max_index)
+
+        expected = {
+            "thm1": [a, *ode], "thm2": [a, number("thm2")],
+            "thm3": [b, *ode], "thm4": [b, number("thm4")],
+            "eq57": [a, b], "eq58": [], "eq59": [], "eq62": [],
+            "eq64": [conv], "eq66": [conv], "asymptotic": [],
+        }
+        assert list(expected) == list(JOBS)
+        for identity, builds in expected.items():
             calls.clear()
             assert all(r.passed for r in run_suite(identity, cfg))
-            assert calls["conv_table", cfg.conv_max] == builds
+            assert calls == Counter(builds), identity
+            kinds = {BUILDERS[kind] for kind in JOBS[identity][1]}
+            assert kinds == {name for name, *_ in builds}, identity
         calls.clear()
-        assert all(r.passed for r in run_suite("thm3", cfg))
-        assert calls == {("ode_table", cfg.max_n_deriv, mode): 1
-                         for mode in ("series", "symbolic")}
+        assert all(r.passed for r in run_suite("all", cfg))
+        assert calls == Counter(set().union(*expected.values()))
+
+    def test_number_tables_share_the_powers(self, monkeypatch):
+        """The thm2 `number_table` of a grid of N = min(max-N, NUMBER_MAX_N)
+        rows takes C^1..C^(N+1) once for all its rows, (N + 1)(max-n + 1)
+        `higher_catalan` values; each thm4 job takes one more, its target."""
+        calls = 0
+
+        def spy(r, n, build=identities.higher_catalan):
+            nonlocal calls
+            calls += 1
+            return build(r, n)
+
+        monkeypatch.setattr(identities, "higher_catalan", spy)
+        deep = RunConfig(max_n_deriv=6, series_order=14, max_index=40, terms_eq59=2000,
+                         terms_eq62=3000, conv_max=400)
+        for identity, cfg, count in (
+                ("all", deep, 7 * 41 + 6 * 41),
+                ("all", RunConfig(), 7 * 21 + 6 * 21),
+                ("thm2", RunConfig(max_n_deriv=40, max_index=200), 7 * 201)):
+            calls = 0
+            assert all(r.passed for r in run_suite(identity, cfg))
+            assert calls == count, (identity, count)
 
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     def test_run_suite_derivative_count(self, identity, monkeypatch):
@@ -1039,7 +1058,7 @@ class TestGridTables:
         reports = run_suite(identity, RunConfig(max_n_deriv=14, series_order=22))
         assert reports and all(r.passed for r in reports)
         assert counts == {"series": 14, "symbolic": 14}
-        verify = getattr(identities, identities.VERIFIERS[identity])
+        verify = getattr(identities, JOBS[identity][0])
         for mode in ("series", "symbolic"):
             counts.clear()
             assert verify(8, mode, 16).passed
@@ -1082,7 +1101,7 @@ class TestGridTables:
         """Each job of the grid, which carries the runner's table, reports
         what its verifier called alone reports: on the true a/b table, and
         on one with the row's last entry shifted, where both fail."""
-        verify = getattr(identities, identities.VERIFIERS[identity])
+        verify = getattr(identities, JOBS[identity][0])
         jobs = _jobs(identity, cfg)
         assert jobs
         for _, args in jobs:
@@ -1111,7 +1130,7 @@ class TestGridTables:
         """The eq64/eq66 job, which carries the runner's `conv_table`,
         reports what its verifier called alone reports: on the true inputs,
         and with one C_j shifted through `_conv_inputs`, where both fail."""
-        verify = getattr(identities, identities.VERIFIERS[identity])
+        verify = getattr(identities, JOBS[identity][0])
         cfg = RunConfig(conv_max=60)
         true_cs = identities._conv_inputs(cfg.conv_max)
         for j in (None, 1, 2, 30, 60):

@@ -75,3 +75,30 @@ def test_run_config_fields_are_the_verify_bounds():
         RunConfig(bogus=1)
     with pytest.raises(TypeError):
         RunConfig(8)
+
+
+def test_job_table_is_the_one_place_that_names_an_identity():
+    """Every identity id spelled in runner.py is inside `JOBS`; the CLI's
+    --id choices are the table's ids and "all"; every verifier and table
+    builder a row names is a function of `identities`."""
+    import argparse
+
+    from catalan_ode import cli, identities
+    from catalan_ode.runner import BUILDERS, JOBS
+
+    path = next(p for p in SOURCES if p.name == "runner.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    [table] = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["JOBS"]]
+    inside = {id(node) for node in ast.walk(table)}
+    outside = [(node.lineno, node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in JOBS
+               and id(node) not in inside]
+    assert outside == []
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    [ident] = [a for a in sub.choices["verify"]._actions if a.dest == "identity"]
+    assert list(ident.choices) == [*JOBS, "all"]
+    names = [verifier for verifier, _, _ in JOBS.values()] + list(BUILDERS.values())
+    assert all(callable(getattr(identities, name, None)) for name in names)
+    assert {kind for _, reads, _ in JOBS.values() for kind in reads} == set(BUILDERS)
