@@ -120,7 +120,7 @@ class AlgebraicElement:
         return self * -1
 
     def __sub__(self, other: "AlgebraicElement") -> "AlgebraicElement":
-        return self + (-other)
+        return AlgebraicElement.combination(((1, 0, self), (-1, 0, other)))
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -154,14 +154,17 @@ class AlgebraicElement:
         return AlgebraicElement(q, k + 2, m + 2, self.d)
 
     def to_series(self, order: int) -> Series:
-        """Taylor coefficients 0..order of the element: p evaluated at the
-        Catalan series, times C^(k-m) with 1/C = 1 - tC, times
-        (2-C)^(-m) C^m = s^(-m)."""
+        """Taylor coefficients 0..order of the element: p at the Catalan
+        series by Horner, one truncated product and a constant added per
+        step, times C^(k-m) with 1/C = 1 - tC, times (2-C)^(-m) C^m = s^(-m)."""
+        if not order:  # C, 1/C and s are 1 at t = 0
+            return Series([sum(self.p)], self.d)
         n = order + 1
         cat = list(catalan_series(order).num)
-        num = []
+        num = [0]
         for c in reversed(self.p):
-            num = _add(_mul(num, cat, n), [c])
+            num = _mul(num, cat, n)
+            num[0] += c
         e = self.k - self.m
         step = cat if e >= 0 else [1] + [-c for c in cat[: n - 1]]
         for _ in range(abs(e)):

@@ -4,29 +4,16 @@ Kronecker-delta inverse relation between the two coefficient families,
 the square-root expansion, two convergent numeric sums, and the
 convolution recurrences.
 
-Every check is integer or rational arithmetic end to end.  The number
-identities thm2 and thm4 are integer equations between the t^n
-coefficients of both sides of thm1 and thm3, with the (1-4t)^(e/2) factors
-applied as scans in u = 1-4t where e is even, and taken from
-`half_power_coeffs` for the odd e of thm4; eq57 is an integer sum; the
-eq64/eq66 convolutions are integer sums too, since each weight
-C_m (m+1)/(2m-1) is the integer 2 C_{m-1} (-1 at m = 0), and they carry a
-denominator only where an input is wrong.  The eq59/eq62 sums are read
-through the ratio of consecutive terms, which over c_n = C_n/4^n is
-(3-2k)/(2k+2) for eq59 and k(2k-1)/(2(k+1)^2) for eq62, in two ways: a
-rigorous enclosure (L, U) / 2^W, W = 128, of the partial sum in integers
-(`_enclose`), which decides a pass, and the exact partial sum T / Q by
-binary splitting (`_binary_split`), which decides a failure, or a pass the
-enclosure leaves open, gives a failure its witness and is what
-`sum_eq59`/`sum_eq62` return.  Both meet one pass band per sum,
-`_eq59_band`/`_eq62_band`, in unreduced integers and affine in the first
-omitted term, which each mechanism already holds: the split as the last
-kept term P / Q times the next ratio, the enclosure as an interval, at
-both of whose ends the band is taken.  T / Q is compared over the band's
-denominator, so it is never reduced; eq58 carries its reference
-(1/2 choose n) as an unreduced pair the same way.  A passing check builds a
-`Fraction` only where that exact fallback runs; otherwise `Fraction`s are
-built for failure witnesses and for what `sum_eq59`/`sum_eq62` return.
+Every check is integer or rational arithmetic end to end.  thm2 and thm4
+are integer equations between the t^n coefficients of both sides of thm1
+and thm3 (`number_table`); eq57 is an integer sum, and so are the eq64/eq66
+convolutions (`conv_table`), which carry a denominator only where an input
+is wrong.  The eq59/eq62 sums are read through the ratio of consecutive
+terms, in two ways that meet one pass band per sum (`_eq59_band`,
+`_eq62_band`): an integer enclosure of the partial sum (`_enclose`), which
+decides a pass, and the exact partial sum by binary splitting
+(`_binary_split`), which decides the rest and gives a failure its witness.
+A passing check builds a `Fraction` only where that exact fallback runs.
 The only inexact steps are the typed-in constants: ln 2 to 36 digits and
 sqrt(2) to 40, which the sums are compared with up to a slack of 1e-25,
 and the 40-digit `Decimal` asymptotic ratio, compared with the band
@@ -36,8 +23,9 @@ thm1 and thm3 are read through the algebra of C, in both mechanisms
 (truncated series, or exact ring elements), with s = sqrt(1-4t):
 
 * C = 1 + t C^2 gives C^(r+2) = (C^(r+1) - C^r)/t, so each power of C on
-  the series side is one subtraction and one shift of the last two, and no
-  product;
+  the series side, a plain integer tuple, is one subtraction and one shift
+  of the last two, and no product, once the Catalan series is checked
+  against C_n = binom(2n, n)/(n+1);
 * s C = 2 - C turns the thm1 sum s^(-2N) sum_i a_i(N) (sC)^i C into
   (1-4t)^(-N) sum_k c_k C^(k+1), with the integer polynomial
   c = sum_i a_i(N) (2-C)^i (`_row_in_c`);
@@ -63,11 +51,7 @@ from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, lcm, perm
 
 from .algebraic import AlgebraicElement
-from .catalan import (
-    catalan_asymptotic_ratio,
-    catalan_closed,
-    higher_catalan,
-)
+from .catalan import catalan_asymptotic_ratio, catalan_closed, higher_catalan
 from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
 from .series import (
     Series,
@@ -167,28 +151,34 @@ def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
 def ode_table(N: int, mode: str, order: int = 64) -> tuple[list, list]:
     """The elements thm1 and thm3 read for every row up to N, in one
     mechanism: powers = [C^(k+1) for k = 0..N] and derivs = [D^k C for
-    k = 0..N], the latter by N derivatives.  Ring powers are the records
-    ((1,), k + 1).  Series powers come from the Catalan series to order
-    K + N, one subtraction and shift per step, each trimmed to K; that
-    series is first checked against s C = 2 - C to order K + N, the one
-    product the table takes, and ArithmeticError is raised if it fails."""
+    k = 0..N].  Ring powers are the records ((1,), k + 1).  Series entries
+    are integer coefficient tuples, with no product: powers from the Catalan
+    series to order K + N, one subtraction and shift per step, cut to K + 1
+    terms, and N `_derivative` passes.  That series is first compared with
+    C_n = binom(2n, n)/(n+1), n <= K + N; a mismatch raises ArithmeticError."""
     _parameters(N, mode, order)
     if mode == "symbolic":
         powers = [AlgebraicElement((1,), k + 1) for k in range(N + 1)]
+        step = AlgebraicElement.derivative
     else:
-        cat = catalan_series(order + N)
-        if Series(half_power_coeffs(1, order + N)) * cat != Series(
-                [2 - cat.num[0]] + [-c for c in cat.num[1:]]):
-            raise ArithmeticError("the Catalan series fails s C = 2 - C")
-        ladder = [[1] + [0] * (order + N), list(cat.num)]
+        cat = list(catalan_series(order + N).num)
+        if cat != [catalan_closed(n) for n in range(order + N + 1)]:
+            raise ArithmeticError("the Catalan series fails C_n = binom(2n, n)/(n+1)")
+        ladder = [[1] + [0] * (order + N), cat]
         for _ in range(N):
             # C^(r+2) = (C^(r+1) - C^r)/t
             ladder.append([x - y for x, y in zip(ladder[-1][1:], ladder[-2][1:])])
-        powers = [Series(p[: order + 1]) for p in ladder[1:]]
+        powers = [tuple(p[: order + 1]) for p in ladder[1:]]
+        step = _derivative
     derivs = [powers[0]]
     for _ in range(N):
-        derivs.append(derivs[-1].derivative())
+        derivs.append(step(derivs[-1]))
     return powers, derivs
+
+
+def _derivative(num: tuple[int, ...]) -> tuple[int, ...]:
+    """d/dt of a truncated coefficient tuple, one order shorter."""
+    return tuple([n * c for n, c in enumerate(num)][1:])
 
 
 def _u_power_times(j: int, num: list[int]) -> list[int]:
@@ -228,46 +218,53 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
     powers, derivs = ode if ode is not None else ode_table(N, mode, order)
     c = _row_in_c(table, N)
     if mode == "symbolic":
-        rhs = AlgebraicElement(c, 2 * N + 1, 2 * N)
-    else:
-        x = [0] * (order - N + 1)
-        for ck, p in zip(c, powers):
-            x = [w + ck * y for w, y in zip(x, p.num)]
-        rhs = _u_power_times(-N, x)
-        if derivs[N].num == tuple(rhs):
-            return _report("thm1", params, mode, None)
-        rhs = Series(rhs)
-    return _compare("thm1", params, mode, derivs[N], rhs)
+        return _compare("thm1", params, mode, derivs[N], AlgebraicElement(c, 2 * N + 1, 2 * N))
+    x = [0] * (order - N + 1)
+    for ck, p in zip(c, powers):
+        x = [w + ck * y for w, y in zip(x, p)]
+    rhs = _u_power_times(-N, x)
+    if derivs[N] == tuple(rhs):
+        return _report("thm1", params, mode, None)
+    return _compare("thm1", params, mode, Series(derivs[N]), Series(rhs))
 
 
 def number_table(identity: str, N: int, nmax: int) -> list[list[list[int]]]:
     """Rows 1..N of the number identity thm2 or thm4.  Row M holds, for each
     i of the row, the t^0..t^nmax coefficients of one summand of thm1 or
-    thm3, s^e times the closed-form inputs,
+    thm3, s^e times the closed-form inputs the rows share (`_number_inputs`),
 
         thm2, i = 1..M:      s^(i-2M)  by  C^(i+1)_m,
-        thm4, i = 0..M//2:   s^(M-2i)  by  (m+M-i)!/m! C_{m+M-i},
+        thm4, i = 0..M//2:   s^(M-2i)  by  (m+M-i)!/m! C_{m+M-i}.
 
-    and the rows share one list of each input, C^1..C^(N+1) or, for
-    j = 0..N, (m+j)!/m! C_{m+j}.  An even e is e/2 scans of
-    `_u_power_times`.  The thm2 summand of odd i is
+    An even e is e/2 scans of `_u_power_times`.  The thm2 summand of odd i is
     s^(i-2M-1) (2 C^i - C^(i+1)), from s C = 2 - C, so every thm2 row is
     (1-4t)^(i//2 - M) times closed-form inputs, and takes no product; the
     thm4 rows of odd M take one truncated product by [t^m] s^e each.  Job
     (n, M) reads sum_i a_i(M) row[i][n] (b_i(M) for thm4), so the a/b table
-    stays a job argument."""
+    stays a job argument; a verifier called alone builds row N only."""
+    inputs = _number_inputs(identity, N, nmax)
+    return [_number_row(identity, inputs, M) for M in range(1, N + 1)]
+
+
+def _number_inputs(identity: str, N: int, nmax: int) -> list[list[int]]:
+    """The closed-form inputs rows 1..N of `number_table` share, t^0..t^nmax
+    each: C^1..C^(N+1) for thm2, (m+j)!/m! C_{m+j} for j = 0..N for thm4."""
     if identity == "thm2":
-        powers = [[higher_catalan(r, m) for m in range(nmax + 1)] for r in range(1, N + 2)]
-        return [[_u_power_times(i // 2 - M, [2 * x - y for x, y in zip(powers[i - 1], powers[i])]
-                                if i % 2 else powers[i])
-                 for i in range(1, M + 1)]
-                for M in range(1, N + 1)]
-    inputs = [[perm(m + j, j) * catalan_closed(m + j) for m in range(nmax + 1)]
-              for j in range(N + 1)]
-    return [[_mul(half_power_coeffs(M - 2 * i, nmax), inputs[M - i], nmax + 1) if M % 2
-             else _u_power_times(M // 2 - i, inputs[M - i])
-             for i in range(M // 2 + 1)]
-            for M in range(1, N + 1)]
+        return [[higher_catalan(r, m) for m in range(nmax + 1)] for r in range(1, N + 2)]
+    return [[perm(m + j, j) * catalan_closed(m + j) for m in range(nmax + 1)]
+            for j in range(N + 1)]
+
+
+def _number_row(identity: str, inputs: list[list[int]], M: int) -> list[list[int]]:
+    """Row M of `number_table` from its `_number_inputs`."""
+    if identity == "thm2":
+        return [_u_power_times(i // 2 - M, [2 * x - y for x, y in zip(inputs[i - 1], inputs[i])]
+                               if i % 2 else inputs[i])
+                for i in range(1, M + 1)]
+    nmax = len(inputs[0]) - 1
+    return [_mul(half_power_coeffs(M - 2 * i, nmax), inputs[M - i], nmax + 1) if M % 2
+            else _u_power_times(M // 2 - i, inputs[M - i])
+            for i in range(M // 2 + 1)]
 
 
 def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
@@ -281,7 +278,7 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
         raise ValueError("need n >= 0 and N >= 1")
     table = a_table if a_table is not None else a_table_recurrence(N)
     if row is None:
-        row = number_table("thm2", N, n)[-1]
+        row = _number_row("thm2", _number_inputs("thm2", N, n), N)
     total = sum(a * coeffs[n] for a, coeffs in zip(table.row(N), row))
     target, scale = catalan_closed(n + N), perm(n + N, N)
     witness = None if total == target * scale else _witness(n, Fraction(total, scale), target)
@@ -298,7 +295,7 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     In the ring the sum is one `AlgebraicElement.combination`: each summand
     is a shift of the record of D^(N-i) C, and the sum is canonicalised
     once.  On series it is s^(N mod 2) y, with y taken by Horner in
-    u = 1-4t on the integer coefficient lists of the derivatives:
+    u = 1-4t on the integer coefficient tuples of the derivatives:
     y = b_0(N) D^N C, then y <- u y + b_i(N) D^(N-i) C, u y one scan.  For
     odd N, s N! C^(N+1) = N! (2 C^N - C^(N+1)), from s C = 2 - C, is
     compared with u y, one more scan: s is a unit with s_0 = 1, so
@@ -315,20 +312,20 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
         rhs = AlgebraicElement.combination((b[i], N - 2 * i, derivs[N - i])
                                            for i in range(N // 2 + 1))
         return _compare("thm3", params, mode, f * powers[N], rhs)
-    y = [b[0] * x for x in derivs[N].num]
+    y = [b[0] * x for x in derivs[N]]
     for i in range(1, N // 2 + 1):
-        y = [w + b[i] * x for w, x in zip(_u_power_times(1, y), derivs[N - i].num)]
+        y = [w + b[i] * x for w, x in zip(_u_power_times(1, y), derivs[N - i])]
     if N % 2:
         # s N! C^(N+1) = N! (2 - C) C^N
-        lhs = [f * (2 * x - w) for x, w in zip(powers[N - 1].num, powers[N].num)]
+        lhs = [f * (2 * x - w) for x, w in zip(powers[N - 1], powers[N])]
         if lhs[: len(y)] == _u_power_times(1, y):
             return _report("thm3", params, mode, None)
         rhs = Series(half_power_coeffs(1, len(y) - 1)) * Series(y)
-    elif [f * x for x in powers[N].num[: len(y)]] == y:
+    elif [f * x for x in powers[N][: len(y)]] == y:
         return _report("thm3", params, mode, None)
     else:
         rhs = Series(y)
-    return _compare("thm3", params, mode, f * powers[N], rhs)
+    return _compare("thm3", params, mode, Series([f * x for x in powers[N]]), rhs)
 
 
 def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,
@@ -342,7 +339,7 @@ def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,
         raise ValueError("need k >= 0 and N >= 1")
     table = b_table if b_table is not None else b_table_recurrence(N)
     if row is None:
-        row = number_table("thm4", N, k)[-1]
+        row = _number_row("thm4", _number_inputs("thm4", N, k), N)
     total = sum(b * coeffs[k] for b, coeffs in zip(table.row(N), row))
     target, scale = higher_catalan(N + 1, k), factorial(N)
     witness = None if total == target * scale else _witness(k, Fraction(total, scale), target)

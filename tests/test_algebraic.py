@@ -301,6 +301,13 @@ class TestToSeries:
         assert ((ONE + S) * Fraction(1, 3)).to_series(2) == Series(
             [Fraction(2, 3), Fraction(-2, 3), Fraction(-2, 3)])
 
+    @given(small_elem)
+    @settings(max_examples=25)
+    def test_order_zero_is_the_constant_term(self, x):
+        """to_series(0), p(1) / d since C, 1/C and s are 1 at t = 0, is the
+        constant term of a longer expansion."""
+        assert x.to_series(0) == Series([x.to_series(6).coeff(0)])
+
     @given(small_elem, small_elem)
     @settings(max_examples=25)
     def test_bridge_is_multiplicative(self, x, y):

@@ -63,7 +63,7 @@ def test_higher_order_matches_series_powers():
     powers, _ = ode_table(4, "series", 12)
     for r, power in enumerate(powers, 1):
         for n in range(13):
-            assert higher_catalan(r, n) == power.coeff(n)
+            assert higher_catalan(r, n) == power[n]
 
 
 def test_higher_order_rejects_bad_order():

@@ -1,7 +1,9 @@
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import ceil, comb, factorial, floor, gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -712,6 +714,39 @@ class TestThm2RowScans:
             odd_rows = range(1, N + 1, 2) if identity == "thm4" else ()
             assert calls == [41] * sum(M // 2 + 1 for M in odd_rows), N
 
+    @pytest.mark.parametrize("nmax", [0, 5, 20])
+    @pytest.mark.parametrize("identity", ["thm2", "thm4"])
+    def test_one_row_is_the_last_table_row(self, identity, nmax):
+        """Row N built alone from its inputs, as a verifier called alone
+        builds it, is the last row of the `number_table` of N rows."""
+        for N in range(1, 7):
+            inputs = identities._number_inputs(identity, N, nmax)
+            assert identities._number_row(identity, inputs, N) == \
+                identities.number_table(identity, N, nmax)[-1], N
+
+    @pytest.mark.parametrize("identity", ["thm2", "thm4"])
+    def test_verifier_alone_builds_one_row(self, identity, monkeypatch):
+        """verify_thm2/verify_thm4 called alone build row N only: one
+        `_u_power_times` per summand of a thm2 row or of an even thm4 row,
+        one `_mul` per summand of an odd thm4 row, and nothing for rows
+        1..N-1."""
+        calls = Counter()
+        for name in ("_u_power_times", "_mul"):
+            def spy(*args, name=name, build=getattr(identities, name)):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(identities, name, spy)
+        verify = verify_thm2 if identity == "thm2" else verify_thm4
+        for N in range(1, 7):
+            calls.clear()
+            assert verify(5, N).passed
+            if identity == "thm2":
+                expected = {"_u_power_times": N}
+            else:
+                expected = {"_mul" if N % 2 else "_u_power_times": N // 2 + 1}
+            assert calls == Counter(expected), N
+
 
 class TestConvolutionRecurrences:
     def test_small_values_by_hand(self):
@@ -794,6 +829,42 @@ def _shifted(table, n, i, delta=1):
     return CoeffTable(table.family, tuple(map(tuple, rows)))
 
 
+REJECTIONS = Path(__file__).resolve().parent / "data" / "verify_rejections.json"
+
+
+def _rejection_cases():
+    """(identity, N, K, shifts) of the committed rejection witnesses: every
+    entry of rows 1..8 of the a-table (thm1) and the b-table (thm3) shifted
+    by +1, -5 and +37 at K = N + 8, and pairs of shifts whose summands
+    cancel at t^0, at K = 64, so that the witness lies past t^0."""
+    cases = [(identity, n, n + 8, ((i, delta),))
+             for identity, n, i in _table_entries("thm1", "thm3", 8)
+             for delta in (1, -5, 37)]
+
+    def weight(identity, n, i):  # the summand of entry i at t^0, per unit
+        return 1 if identity == "thm1" else factorial(n - i) * catalan_closed(n - i)
+
+    for identity, n, i, j in (("thm1", 2, 1, 2), ("thm1", 5, 1, 5), ("thm1", 8, 3, 8),
+                              ("thm3", 2, 0, 1), ("thm3", 3, 0, 1), ("thm3", 5, 0, 2),
+                              ("thm3", 8, 1, 4)):
+        wi, wj = weight(identity, n, i), weight(identity, n, j)
+        g = gcd(wi, wj)
+        cases.append((identity, n, 64, ((i, wj // g), (j, -wi // g))))
+    return cases
+
+
+def _rejection_reports(identity, n, order, shifts):
+    """{mode: [passed, witness]} of the verifier called alone on rows 1..8
+    with `shifts` applied to row n."""
+    table, verify = ((a_table_recurrence(8), verify_thm1) if identity == "thm1"
+                     else (b_table_recurrence(8), verify_thm3))
+    for i, delta in shifts:
+        table = _shifted(table, n, i, delta)
+    return {mode: [rep.passed, rep.witness]
+            for mode in ("series", "symbolic")
+            for rep in [verify(n, mode, order, table)]}
+
+
 class TestFailureWitness:
     @pytest.mark.parametrize("identity,n,i", list(_table_entries("thm1", "thm3", 8)))
     def test_forced_mismatch(self, identity, n, i):
@@ -813,6 +884,19 @@ class TestFailureWitness:
             rep = verify(n, mode, n + 8, bad)
             assert not rep.passed
             assert rep.witness == expected
+
+    def test_rejections_match_golden(self):
+        """Every case of `_rejection_cases` fails in both modes with the
+        witness committed in tests/data/verify_rejections.json."""
+        golden = json.loads(REJECTIONS.read_text())
+        cases = [(c["identity"], c["N"], c["K"], tuple(map(tuple, c["shifts"])))
+                 for c in golden]
+        assert cases == _rejection_cases()
+        assert any(c["series"][1]["index"] != "0" for c in golden)
+        for case, c in zip(cases, golden):
+            reports = _rejection_reports(*case)
+            assert reports == {"series": c["series"], "symbolic": c["symbolic"]}, case
+            assert not reports["series"][0] and not reports["symbolic"][0], case
 
     @pytest.mark.parametrize("identity,n,shifts", [
         ("thm1", 3, {1: 1, 2: -1}),
@@ -963,23 +1047,34 @@ class TestGridTables:
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
     def test_series_products(self, identity, max_n, monkeypatch):
-        """The series grid's products of two series: one, the ode_table's
-        s C = 2 - C guard, whatever max-N is.  A ladder of powers built by
-        products took max-N more, s^(-2N) in each thm1 job one more per job,
-        and the s of s^(N mod 2) in thm3 one more per odd N, which a passing
-        row now moves to the other side as s N! C^(N+1) = N! (2 - C) C^N."""
-        products = 0
-        mul = Series.__mul__
+        """The series grid takes no product of two series or coefficient
+        lists, whatever max-N is.  The ode_table's guard was one, s C = 2 - C,
+        before it compared the Catalan series with the closed form; a ladder
+        of powers built by products took max-N more, s^(-2N) in each thm1
+        job one more per job, and the s of s^(N mod 2) in thm3 one more per
+        odd N, which a passing row now moves to the other side as
+        s N! C^(N+1) = N! (2 - C) C^N."""
+        products = Counter()
+        mul, kernel_mul, kernel_square = Series.__mul__, identities._mul, identities._square
 
         def spy(self, other):
-            nonlocal products
-            products += isinstance(other, Series)
+            products["Series"] += isinstance(other, Series)
             return mul(self, other)
 
+        def mul_spy(p, q, n=None):
+            products["_mul"] += 1
+            return kernel_mul(p, q, n)
+
+        def square_spy(p, n=None):
+            products["_square"] += 1
+            return kernel_square(p, n)
+
         monkeypatch.setattr(Series, "__mul__", spy)
+        monkeypatch.setattr(identities, "_mul", mul_spy)
+        monkeypatch.setattr(identities, "_square", square_spy)
         reports = run_suite(identity, RunConfig(max_n_deriv=max_n, series_order=max_n + 32))
         assert reports and all(r.passed for r in reports)
-        assert products == 1
+        assert not products
 
     def test_run_suite_builds_each_table_once(self, monkeypatch):
         """Each identity alone builds exactly the tables its row of the job
@@ -1046,15 +1141,18 @@ class TestGridTables:
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     def test_run_suite_derivative_count(self, identity, monkeypatch):
         """Each job rebuilt D^1 C .. D^N C from C, 105 derivatives per mode
-        at max-N 14; the grid's `ode_table` takes one per step, 14.  A
-        verifier called alone still takes N."""
+        at max-N 14; the grid's `ode_table` takes one per step, 14: on
+        series one `_derivative` pass over the coefficient tuple, in the
+        ring `AlgebraicElement.derivative`.  A verifier called alone still
+        takes N."""
         counts = Counter()
-        for cls, mode in ((Series, "series"), (AlgebraicElement, "symbolic")):
-            def spy(self, derivative=cls.derivative, mode=mode):
+        for owner, name, mode in ((identities, "_derivative", "series"),
+                                  (AlgebraicElement, "derivative", "symbolic")):
+            def spy(x, derivative=getattr(owner, name), mode=mode):
                 counts[mode] += 1
-                return derivative(self)
+                return derivative(x)
 
-            monkeypatch.setattr(cls, "derivative", spy)
+            monkeypatch.setattr(owner, name, spy)
         reports = run_suite(identity, RunConfig(max_n_deriv=14, series_order=22))
         assert reports and all(r.passed for r in reports)
         assert counts == {"series": 14, "symbolic": 14}
@@ -1150,16 +1248,19 @@ class TestAlgebraOfC:
     @pytest.mark.parametrize("order", [9, 22, 64])
     def test_series_powers_without_products(self, order):
         """The ode_table's powers, a subtraction and a shift per step, are
-        C^(k+1) by repeated products and by the closed form C_n^(k+1)."""
+        C^(k+1) by repeated products and by the closed form C_n^(k+1), and
+        each derivative is the series derivative."""
         N = min(16, order - 8)
         powers, derivs = identities.ode_table(N, "series", order)
         cat = catalan_series(order)
         power = cat
         for k, entry in enumerate(powers):
-            assert entry == power
-            assert list(entry.num) == [higher_catalan(k + 1, n) for n in range(order + 1)]
+            assert entry == power.num
+            assert list(entry) == [higher_catalan(k + 1, n) for n in range(order + 1)]
             power = power * cat
-        assert derivs[0] == cat
+        assert derivs[0] == cat.num
+        for k in range(N):
+            assert derivs[k + 1] == Series(derivs[k]).derivative().num
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_row_in_c_is_the_ring_sum(self, shift):
@@ -1173,10 +1274,11 @@ class TestAlgebraOfC:
                         for i in range(1, N + 1)), AlgebraicElement())
             assert AlgebraicElement(identities._row_in_c(row, N)) == ring
 
-    @pytest.mark.parametrize("n", [0, 1, 30])
+    @pytest.mark.parametrize("n", [0, 1, 30, 40])
     def test_guard_rejects_a_wrong_catalan_series(self, n, monkeypatch):
-        """One shifted coefficient of the Catalan series makes the series
-        ode_table raise, so the ladder cannot build on a broken kernel."""
+        """One shifted coefficient of the Catalan series, up to t^(K+N), the
+        last one compared, makes the series ode_table raise, so the ladder
+        cannot build on a broken kernel."""
         true = identities.catalan_series
 
         def shifted(order):
@@ -1185,7 +1287,7 @@ class TestAlgebraOfC:
             return Series(num)
 
         monkeypatch.setattr(identities, "catalan_series", shifted)
-        with pytest.raises(ArithmeticError, match="s C = 2 - C"):
+        with pytest.raises(ArithmeticError, match=r"C_n = binom\(2n, n\)/\(n\+1\)"):
             identities.ode_table(8, "series", 32)
         with pytest.raises(ArithmeticError):
             verify_thm3(8, "series", 32)
@@ -1196,7 +1298,7 @@ def _thm3_series_with_dense_s(N, order, table, ode):
     """verify_thm3 in series mode with every step a product of two series:
     Horner by Series(u), u = 1-4t, and s y by Series(s) for odd N, the
     dense product that only a failing row takes now."""
-    powers, derivs = ode
+    powers, derivs = ([Series(x) for x in part] for part in ode)
     u = Series(half_power_coeffs(2, order))
     y = table.entry(0, N) * derivs[N]
     for i in range(1, N // 2 + 1):
@@ -1293,17 +1395,17 @@ class TestPassPathKernels:
         powers, derivs = identities.ode_table(N, "series", order)
         b = b_table_recurrence(N)
         for index, fails in ((order - N, True), (order - N + 1, False)):
-            num = list(powers[N].num)
+            num = list(powers[N])
             num[index] += 1
-            ode = (powers[:N] + [Series(num)], derivs)
+            ode = (powers[:N] + [tuple(num)], derivs)
             rep = verify_thm3(N, "series", order, b, ode)
             assert rep == _thm3_series_with_dense_s(N, order, b, ode)
             assert rep.passed is not fails
             assert fails is False or rep.witness["index"] == str(index)
-        num = list(derivs[N].num)
+        num = list(derivs[N])
         num[-1] += 1
         rep = verify_thm1(N, "series", order, a_table_recurrence(N),
-                          (powers, derivs[:N] + [Series(num)]))
+                          (powers, derivs[:N] + [tuple(num)]))
         assert not rep.passed and rep.witness["index"] == str(order - N)
 
     def test_thm3_grid_work(self, monkeypatch):
