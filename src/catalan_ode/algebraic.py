@@ -31,13 +31,18 @@ def _two_minus_c_power(j: int) -> list[int]:
 
 
 def _div_two_minus_c(p) -> list[int] | None:
-    """p / (2 - C) if the division is exact, else None: synthetic division by
-    the root C = 2, whose remainder is p(2)."""
-    quot, carry = [], 0
+    """p / (2 - C) if the division is exact, else None: the remainder p(2)
+    first, with no list, then synthetic division by the root C = 2."""
+    rem = 0
     for c in reversed(p):
+        rem = c + 2 * rem
+    if rem:
+        return None
+    quot, carry = [], 0
+    for c in reversed(p[1:]):
         carry = c + 2 * carry
         quot.append(-carry)
-    return None if carry else quot[-2::-1]
+    return quot[::-1]
 
 
 class AlgebraicElement:

@@ -34,19 +34,21 @@ thm1 and thm3 are read through the algebra of C, in both mechanisms
   derivatives, canonicalised once; on series it is Horner in u = 1-4t on
   plain integer lists, each factor u one scan of the coefficients
   (`_u_power_times`), and the s of odd N is moved to the other side,
-  s N! C^(N+1) = N! (2 - C) C^N against u y, so a passing row builds no
-  `Series` and only a failing row takes the one dense product by s.
+  s N! C^(N+1) = N! (2 - C) C^N against u y, so only a failing row takes
+  the one dense product by s.
 
-Every step is exact and linear in the a/b row, so the compared elements do
-not depend on how they were built.  `_compare` turns the two sides into a
-report; ring elements are compared by their canonical records, and
-lhs - rhs is built only for a failure.  A failing report's witness holds
-exact decimal strings of any length.
+`ode_table` does not depend on the a/b row, so each (N, mode, K) table is
+built once per process.  Every step is exact and linear in the a/b row, so
+the compared elements do not depend on how they were built.  `_compare`
+turns the two sides into a report: integer lists on series, canonical
+records in the ring, whose failure reads t^0 of both sides first.  A
+failing report's witness holds exact decimal strings.
 """
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, lcm, perm
 
@@ -54,7 +56,6 @@ from .algebraic import AlgebraicElement
 from .catalan import catalan_asymptotic_ratio, catalan_closed, higher_catalan
 from .coefficients import CoeffTable, a_table_recurrence, b_table_recurrence
 from .series import (
-    Series,
     _mul,
     _square,
     catalan_series,
@@ -71,6 +72,9 @@ SQRT2_40 = Fraction(isqrt(2 * 10**80), 10**40)
 
 # ln 2 to 36 significant digits.
 LN2_36 = Fraction("0.693147180559945309417232121458176568")
+
+# `ode_table` keys kept: both modes of each N = 1..40 that the CLI accepts.
+ODE_TABLE_CACHE = 80
 
 
 class VerificationReport:
@@ -118,10 +122,13 @@ def _witness(index, lhs, rhs) -> dict[str, str]:
 
 
 def _symbolic_witness(lhs: AlgebraicElement, rhs: AlgebraicElement) -> dict[str, str]:
-    # lhs - rhs is nonzero, and its valuation is the index of its first
-    # nonzero Taylor coefficient, where lhs and rhs first differ.
-    order = (lhs - rhs).valuation()
-    return _witness(*first_mismatch(lhs.to_series(order), rhs.to_series(order)))
+    # t^0 of each side is sum(p)/d; only where those agree is lhs - rhs
+    # built, whose valuation is the first index where lhs and rhs differ.
+    mm = first_mismatch(lhs.to_series(0), rhs.to_series(0))
+    if mm is None:
+        order = (lhs - rhs).valuation()
+        mm = first_mismatch(lhs.to_series(order), rhs.to_series(order))
+    return _witness(*mm)
 
 
 def _parameters(N: int, mode: str, order: int) -> dict[str, int]:
@@ -139,23 +146,28 @@ def _parameters(N: int, mode: str, order: int) -> dict[str, int]:
 
 
 def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
-    """Series are compared coefficient by coefficient; ring elements by
-    equality, since each has one canonical record, with lhs - rhs built
-    only for the witness of a failure."""
+    """Series sides, integer lists of one length, and ring elements, each
+    with one canonical record, are compared by equality; a series failure's
+    witness is the first differing index, a ring one's `_symbolic_witness`."""
+    if lhs == rhs:
+        return _report(identity, parameters, mode, None)
     if mode == "series":
-        mm = first_mismatch(lhs, rhs)
-        return _report(identity, parameters, mode, mm and _witness(*mm))
-    return _report(identity, parameters, mode, None if lhs == rhs else _symbolic_witness(lhs, rhs))
+        n = next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+        return _report(identity, parameters, mode, _witness(n, lhs[n], rhs[n]))
+    return _report(identity, parameters, mode, _symbolic_witness(lhs, rhs))
 
 
-def ode_table(N: int, mode: str, order: int = 64) -> tuple[list, list]:
+@lru_cache(maxsize=ODE_TABLE_CACHE)
+def ode_table(N: int, mode: str, order: int = 64) -> tuple[tuple, tuple]:
     """The elements thm1 and thm3 read for every row up to N, in one
-    mechanism: powers = [C^(k+1) for k = 0..N] and derivs = [D^k C for
-    k = 0..N].  Ring powers are the records ((1,), k + 1).  Series entries
-    are integer coefficient tuples, with no product: powers from the Catalan
-    series to order K + N, one subtraction and shift per step, cut to K + 1
-    terms, and N `_derivative` passes.  That series is first compared with
-    C_n = binom(2n, n)/(n+1), n <= K + N; a mismatch raises ArithmeticError."""
+    mechanism: powers = (C^(k+1) for k = 0..N) and derivs = (D^k C for
+    k = 0..N), both tuples.  Ring powers are the records ((1,), k + 1).
+    Series entries are integer coefficient tuples, with no product: powers
+    from the Catalan series to order K + N, one subtraction and shift per
+    step, cut to K + 1 terms, and N `_derivative` passes.  That series is
+    first compared with C_n = binom(2n, n)/(n+1), n <= K + N; a mismatch
+    raises ArithmeticError.  Memoised on (N, mode, order), `ODE_TABLE_CACHE`
+    keys per process; a call that raises is not cached."""
     _parameters(N, mode, order)
     if mode == "symbolic":
         powers = [AlgebraicElement((1,), k + 1) for k in range(N + 1)]
@@ -173,7 +185,7 @@ def ode_table(N: int, mode: str, order: int = 64) -> tuple[list, list]:
     derivs = [powers[0]]
     for _ in range(N):
         derivs.append(step(derivs[-1]))
-    return powers, derivs
+    return tuple(powers), tuple(derivs)
 
 
 def _derivative(num: tuple[int, ...]) -> tuple[int, ...]:
@@ -204,7 +216,7 @@ def _row_in_c(a_table: CoeffTable, N: int) -> list[int]:
 
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None,
-                ode: tuple[list, list] | None = None) -> VerificationReport:
+                ode: tuple[tuple, tuple] | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
     a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
     the sum is taken as (1-4t)^(-N) sum_k c_k C^(k+1), with c from
@@ -222,10 +234,7 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
     x = [0] * (order - N + 1)
     for ck, p in zip(c, powers):
         x = [w + ck * y for w, y in zip(x, p)]
-    rhs = _u_power_times(-N, x)
-    if derivs[N] == tuple(rhs):
-        return _report("thm1", params, mode, None)
-    return _compare("thm1", params, mode, Series(derivs[N]), Series(rhs))
+    return _compare("thm1", params, mode, list(derivs[N]), _u_power_times(-N, x))
 
 
 def number_table(identity: str, N: int, nmax: int) -> list[list[list[int]]]:
@@ -287,7 +296,7 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None,
-                ode: tuple[list, list] | None = None) -> VerificationReport:
+                ode: tuple[tuple, tuple] | None = None) -> VerificationReport:
     """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), with C^(N+1)
     and C^((N-i)) = D^(N-i) C read from `ode`, the `ode_table` of this mode
     and order, and row N of the b table read once.
@@ -300,8 +309,8 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     odd N, s N! C^(N+1) = N! (2 C^N - C^(N+1)), from s C = 2 - C, is
     compared with u y, one more scan: s is a unit with s_0 = 1, so
     s lhs - u y = s (lhs - s y) and lhs - s y are zero up to the same index.
-    A passing row builds no `Series`; only a mismatch builds them, and for
-    odd N takes the dense product s y, for the witness."""
+    A row builds no `Series`; only a mismatch of odd N takes the dense
+    product s y, for the witness."""
     N = n_pow
     params = _parameters(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
@@ -320,12 +329,8 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
         lhs = [f * (2 * x - w) for x, w in zip(powers[N - 1], powers[N])]
         if lhs[: len(y)] == _u_power_times(1, y):
             return _report("thm3", params, mode, None)
-        rhs = Series(half_power_coeffs(1, len(y) - 1)) * Series(y)
-    elif [f * x for x in powers[N][: len(y)]] == y:
-        return _report("thm3", params, mode, None)
-    else:
-        rhs = Series(y)
-    return _compare("thm3", params, mode, Series([f * x for x in powers[N]]), rhs)
+        y = _mul(half_power_coeffs(1, len(y) - 1), y, len(y))
+    return _compare("thm3", params, mode, [f * x for x in powers[N][: len(y)]], y)
 
 
 def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,

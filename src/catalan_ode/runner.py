@@ -7,12 +7,12 @@ read, and its argument grid, a function of the `RunConfig` and of
 `table(kind, *key)`, which builds a table by the `identities` function that
 `BUILDERS` names, once per (kind, key) per run, when a selected grid first
 asks for it.  A job is plain data, an identity id and its verifier's
-arguments, the tables last; a verifier called alone builds its own, so a
-job reads the same elements either way.  `run_suite` runs the jobs one after
-another in one thread, times each into its report's `cost` (the table
-builds are not in it), and always sorts the reports the same way, which
-keeps the JSON output byte-deterministic (elapsed times are reported in the
-human table only, never in JSON).
+arguments, the tables last; a verifier called alone builds its own, or
+reads the `ode_table` memoised in `identities`, so a job reads the same
+elements either way.  `run_suite` runs the jobs one after another in one
+thread, times each into its report's `cost` (the table builds are not in
+it), and always sorts the reports the same way, which keeps the JSON
+output byte-deterministic (elapsed times are in the human table only).
 """
 from __future__ import annotations
 

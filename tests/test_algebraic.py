@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalan_ode.algebraic import AlgebraicElement
+from catalan_ode.algebraic import AlgebraicElement, _div_two_minus_c
 from catalan_ode.series import (
     Series,
     _add,
@@ -50,6 +50,18 @@ unit_pair = st.lists(st.sampled_from(UNIT_FACTORS), min_size=1, max_size=4).map(
 )
 
 
+def _long_division(num, den):
+    """(quotient, remainder) of two coefficient lists, lowest degree first,
+    by schoolbook long division over the rationals, from the top."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quot))):
+        quot[i] = num[i + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            num[i + j] -= quot[i] * d
+    return quot, num[: len(den) - 1]
+
+
 class TestNumerators:
     """The integer polynomial p of p(C) C^k / (d (2-C)^m)."""
 
@@ -71,6 +83,18 @@ class TestNumerators:
         # 2 + C is not a multiple of 2 - C, so the denominator stays
         assert E([2, 1], 0, 1).m == 1
         assert (TWO_MINUS_C.p, TWO_MINUS_C.m) == ((1,), -1)
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8).filter(
+        lambda p: p[-1] and sum(c * 2**i for i, c in enumerate(p))), st.integers(0, 3))
+    def test_division_by_two_minus_c(self, p, j):
+        """p (2-C)^j, with p(2) != 0, divides by 2 - C exactly iff j >= 1, with
+        the quotient of a reference long division, p (2-C)^(j-1)."""
+        q = reduce(_mul, [(2, -1)] * j, p)
+        quot, rem = _long_division(q, (2, -1))
+        got = _div_two_minus_c(q)
+        assert (got is None) == (j == 0) == (rem != [0])
+        if j:
+            assert got == quot == reduce(_mul, [(2, -1)] * (j - 1), p)
 
     @given(nonzero_elem)
     def test_canonical_numerator(self, x):

@@ -1021,6 +1021,31 @@ class TestFailureWitness:
         c30 = catalan_closed(30)
         assert witness == {"index": "30", "lhs": str(c30), "rhs": str(c30 + 1)}
 
+    @pytest.mark.parametrize("identity,shifts,index,valuations", [
+        ("thm1", ((3, 1),), "0", 0), ("thm1", ((1, 1), (2, -1)), "1", 1),
+        ("thm3", ((1, 1),), "0", 0), ("thm3", ((0, 1), (1, -4)), "1", 1),
+    ])
+    def test_symbolic_witness_reads_t0_first(self, identity, shifts, index, valuations,
+                                             monkeypatch):
+        """A ring failure that shows at t^0 builds no lhs - rhs and takes no
+        valuation; one whose t^0 terms agree takes one."""
+        calls = Counter()
+        valuation = AlgebraicElement.valuation
+
+        def spy(self):
+            calls["valuation"] += 1
+            return valuation(self)
+
+        monkeypatch.setattr(AlgebraicElement, "valuation", spy)
+        verify, table = ((verify_thm1, a_table_recurrence(3)) if identity == "thm1"
+                         else (verify_thm3, b_table_recurrence(3)))
+        N = 3 if identity == "thm1" else 2
+        for i, delta in shifts:
+            table = _shifted(table, N, i, delta)
+        rep = verify(N, "symbolic", N + 8, table)
+        assert not rep.passed and rep.witness["index"] == index
+        assert calls["valuation"] == valuations
+
     @pytest.mark.parametrize("identity,entries", [
         ("thm1", (1,)), ("thm1", (20,)), ("thm1", (40,)), ("thm1", (1, 20, 40)),
         ("thm3", (0,)), ("thm3", (10,)), ("thm3", (20,)), ("thm3", (0, 10, 20)),
@@ -1144,7 +1169,8 @@ class TestGridTables:
         at max-N 14; the grid's `ode_table` takes one per step, 14: on
         series one `_derivative` pass over the coefficient tuple, in the
         ring `AlgebraicElement.derivative`.  A verifier called alone still
-        takes N."""
+        takes N on a new key, and none on the grid's key, whose table is
+        memoised."""
         counts = Counter()
         for owner, name, mode in ((identities, "_derivative", "series"),
                                   (AlgebraicElement, "derivative", "symbolic")):
@@ -1161,6 +1187,9 @@ class TestGridTables:
             counts.clear()
             assert verify(8, mode, 16).passed
             assert counts[mode] <= 8
+            counts.clear()
+            assert verify(14, mode, 22).passed
+            assert not counts
 
     def test_run_suite_makes_one_convolution(self, monkeypatch):
         """eq64 and eq66 each made their own product of length conv-max + 1;
@@ -1294,6 +1323,98 @@ class TestAlgebraOfC:
         assert identities.ode_table(8, "symbolic")[0][8] == AlgebraicElement((1,), 9)
 
 
+class TestOdeTableMemo:
+    """`ode_table` depends only on (N, mode, order), so it is memoised per
+    process, boundedly; the a/b table under test never is."""
+
+    @pytest.mark.parametrize("identity", ["thm1", "thm3"])
+    @pytest.mark.parametrize("mode,first_build", [
+        ("series", {"_derivative": 8, "catalan_closed": 25}),
+        ("symbolic", {"derivative": 8}),
+    ])
+    def test_second_lone_call_builds_nothing(self, identity, mode, first_build, monkeypatch):
+        """A second lone call with the same key reads the same table object
+        and takes no derivative step and no `catalan_closed` value."""
+        calls = Counter()
+        for owner, name in ((identities, "_derivative"), (AlgebraicElement, "derivative"),
+                            (identities, "catalan_closed")):
+            def spy(*args, build=getattr(owner, name), name=name):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        verify = getattr(identities, JOBS[identity][0])
+        assert verify(8, mode, 16).passed
+        assert calls == first_build
+        table = identities.ode_table(8, mode, 16)
+        calls.clear()
+        assert verify(8, mode, 16).passed
+        assert identities.ode_table(8, mode, 16) is table
+        assert not calls
+
+    @pytest.mark.parametrize("mode", ["series", "symbolic"])
+    def test_entries_are_tuples_of_the_uncached_build(self, mode):
+        for N in range(1, 9):
+            for order in (N + 8, 64):
+                powers, derivs = identities.ode_table(N, mode, order)
+                assert type(powers) is tuple and type(derivs) is tuple
+                assert len(powers) == len(derivs) == N + 1
+                if mode == "series":
+                    assert all(type(x) is tuple for x in powers + derivs)
+                assert (powers, derivs) == identities.ode_table.__wrapped__(N, mode, order)
+
+    def test_failures_are_not_cached(self, monkeypatch):
+        """A guard failure raises on every call, and the call after the
+        kernel is mended builds the true table; so does a bad key."""
+        true = identities.catalan_series
+
+        def shifted(order):
+            num = list(true(order).num)
+            num[3] += 1
+            return Series(num)
+
+        monkeypatch.setattr(identities, "catalan_series", shifted)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                identities.ode_table(8, "series", 16)
+            with pytest.raises(ValueError):
+                identities.ode_table(8, "series", 15)
+        assert identities.ode_table.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert identities.ode_table(8, "series", 16) == identities.ode_table.__wrapped__(
+            8, "series", 16)
+        assert verify_thm3(8, "series", 16).passed
+
+    @pytest.mark.parametrize("identity,entry", [("thm1", 8), ("thm3", 4)])
+    @pytest.mark.parametrize("mode", ["series", "symbolic"])
+    def test_the_table_under_test_is_not_cached(self, identity, entry, mode):
+        """At one key, a shifted row then the true row gives fail then
+        pass, and the reverse order pass then fail."""
+        verify = getattr(identities, JOBS[identity][0])
+        true = a_table_recurrence(8) if identity == "thm1" else b_table_recurrence(8)
+        bad = _shifted(true, 8, entry, 7)
+        for first, second in ((bad, true), (true, bad)):
+            identities.ode_table.cache_clear()
+            passed = [verify(8, mode, 16, table).passed for table in (first, second)]
+            assert passed == [first is true, second is true]
+            assert identities.ode_table.cache_info().hits == 1
+
+    def test_bounded(self):
+        """One key more than the bound leaves the bound, and the least
+        recently used key is built again."""
+        bound = identities.ODE_TABLE_CACHE
+        keys = [(1, mode, order) for order in range(9, 9 + bound)
+                for mode in ("series", "symbolic")][: bound + 1]
+        for key in keys:
+            identities.ode_table(*key)
+        info = identities.ode_table.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 1)
+        identities.ode_table(*keys[-1])
+        identities.ode_table(*keys[0])
+        info = identities.ode_table.cache_info()
+        assert (info.hits, info.misses) == (1, bound + 2)
+
+
 def _thm3_series_with_dense_s(N, order, table, ode):
     """verify_thm3 in series mode with every step a product of two series:
     Horner by Series(u), u = 1-4t, and s y by Series(s) for odd N, the
@@ -1397,7 +1518,7 @@ class TestPassPathKernels:
         for index, fails in ((order - N, True), (order - N + 1, False)):
             num = list(powers[N])
             num[index] += 1
-            ode = (powers[:N] + [tuple(num)], derivs)
+            ode = ((*powers[:N], tuple(num)), derivs)
             rep = verify_thm3(N, "series", order, b, ode)
             assert rep == _thm3_series_with_dense_s(N, order, b, ode)
             assert rep.passed is not fails
@@ -1405,7 +1526,7 @@ class TestPassPathKernels:
         num = list(derivs[N])
         num[-1] += 1
         rep = verify_thm1(N, "series", order, a_table_recurrence(N),
-                          (powers, derivs[:N] + [tuple(num)]))
+                          (powers, (*derivs[:N], tuple(num))))
         assert not rep.passed and rep.witness["index"] == str(order - N)
 
     def test_thm3_grid_work(self, monkeypatch):
