@@ -28,16 +28,8 @@ JSON_SCHEMA_VERSION = "1"
 # (subcommand, flag, argparse dest, smallest, largest accepted value) of
 # every integer flag of the CLI; `verify`'s dests are the RunConfig fields.
 # The CLI declares each flag from its row, `verify`'s with RunConfig's
-# defaults.  At the upper bounds each other subcommand takes under a second
-# and prints no number past Python's 4300-digit int -> str limit, and the
-# slowest `verify` grids take seconds rather than hours: thm1 at max-N 40,
-# K = 512, both modes with the table build, about 0.18 s and thm3 about
-# 0.09 s, eq64 and eq66 at 1000 about 0.13 s each alone, nearly all of it
-# the one self-square of `conv_table` they share, thm2 and thm4 at max-n 200
-# 0.015-0.035 s and eq59 and eq62 at 10000 terms 0.005 s each, a passing
-# report taking no exact split, and `verify --id all` with every flag at its
-# bound about 0.45 s in process (fastest of 7 runs, CPython 3.11.7, one core
-# of a 2-vCPU Intel Xeon VM whose speed drifts).
+# defaults.  The upper bounds keep every number printed within Python's
+# 4300-digit int -> str limit and every `verify` grid to seconds, not hours.
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
 # relates the two when a check that reads the `ode_table` runs, as only those
 # read both.

@@ -1,17 +1,15 @@
-"""Integer coefficient lists and truncated power series built on them.
+"""Integer coefficient lists and the rational series read off them.
 
 `_trim`, `_add`, `_mul` and `_square` are the one polynomial kernel of the
 package: lists of Python ints, lowest degree first.  The ring in
-`algebraic` uses them for its numerators, and :class:`Series` for its
-coefficients.
+`algebraic` uses them for its numerators, and every series product or
+derivative is taken on integer lists.
 `half_power_coeffs` gives the integer coefficients of every power of
 s = sqrt(1-4t) that the package uses.
 
 A :class:`Series` stores integer numerators c_0..c_K over one positive
 denominator d, in lowest terms (gcd(d, c_0, ..., c_K) = 1), so equality is
-structural.  Arithmetic between two series is only meaningful up to the
-common order, so every binary operation truncates to min(K1, K2) and
-records that on the result; differentiation shrinks the order by one.
+structural.
 """
 from __future__ import annotations
 
@@ -63,8 +61,9 @@ def _square(p, n: int | None = None) -> list[int]:
 
 
 class Series:
-    """Coefficients num[0..K] / den of a power series truncated at order K.
-    The constructor accepts any rationals and brings them to that form."""
+    """Read-only coefficients num[0..K] / den of a power series truncated at
+    order K, with no arithmetic of its own.  The constructor accepts any
+    rationals and brings them to that form."""
 
     __slots__ = ("num", "den")
 
@@ -87,10 +86,6 @@ class Series:
     def order(self) -> int:
         return len(self.num) - 1
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
@@ -99,36 +94,8 @@ class Series:
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and (self.num, self.den) == (other.num, other.den)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "Series") -> "Series":
-        k = min(self.order, other.order)
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        return Series([f * x + g * y for x, y in zip(self.num[: k + 1], other.num[: k + 1])], den)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self.num], self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return Series([c * other.numerator for c in self.num], self.den * other.denominator)
-        k = min(self.order, other.order)
-        return Series(_mul(self.num, other.num, k + 1), self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "Series":
-        if self.order == 0:
-            raise ValueError("cannot differentiate order-0 series")
-        return Series([n * c for n, c in enumerate(self.num) if n], self.den)
-
     def __repr__(self):
-        return f"Series({list(self.coeffs)!r})"
+        return f"Series({[Fraction(c, self.den) for c in self.num]!r})"
 
 
 def first_mismatch(a: Series, b: Series):

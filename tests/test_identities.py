@@ -2,7 +2,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, gcd, isqrt, prod
+from math import ceil, comb, factorial, floor, gcd, isqrt, perm, prod
 from pathlib import Path
 
 import pytest
@@ -43,7 +43,6 @@ from catalan_ode.runner import BOUNDS, BUILDERS, JOBS, NUMBER_MAX_N, RunConfig, 
 from catalan_ode.series import (
     Series,
     _mul,
-    catalan_series,
     first_mismatch,
     half_power_coeffs,
     sqrt_one_plus_series,
@@ -160,7 +159,8 @@ class TestSqrtExpansion:
     def test_forced_mismatch(self, n, monkeypatch):
         """Coefficient n of the expansion shifted by +1 fails at index n
         against the rational (1/2 choose n)."""
-        coeffs = list(sqrt_one_plus_series(64).coeffs)
+        series = sqrt_one_plus_series(64)
+        coeffs = [series.coeff(j) for j in range(65)]
         coeffs[n] += 1
         monkeypatch.setattr(identities, "sqrt_one_plus_series", lambda order: Series(coeffs))
         rep = verify_sqrt_expansion(64)
@@ -175,7 +175,8 @@ class TestSqrtExpansion:
         """Coefficient n of the expansion shifted by delta, also by a shift
         finer than the series' denominator 4^64, reports the witness of the
         reference carried in reduced `Fraction`s, (1/2 choose n)."""
-        coeffs = list(sqrt_one_plus_series(64).coeffs)
+        series = sqrt_one_plus_series(64)
+        coeffs = [series.coeff(j) for j in range(65)]
         coeffs[n] += delta
         monkeypatch.setattr(identities, "sqrt_one_plus_series", lambda order: Series(coeffs))
         expected = Fraction(1)
@@ -1072,19 +1073,15 @@ class TestGridTables:
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
     def test_series_products(self, identity, max_n, monkeypatch):
-        """The series grid takes no product of two series or coefficient
-        lists, whatever max-N is.  The ode_table's guard was one, s C = 2 - C,
+        """The series grid takes no product of two coefficient lists,
+        whatever max-N is.  The ode_table's guard was one, s C = 2 - C,
         before it compared the Catalan series with the closed form; a ladder
         of powers built by products took max-N more, s^(-2N) in each thm1
         job one more per job, and the s of s^(N mod 2) in thm3 one more per
         odd N, which a passing row now moves to the other side as
         s N! C^(N+1) = N! (2 - C) C^N."""
         products = Counter()
-        mul, kernel_mul, kernel_square = Series.__mul__, identities._mul, identities._square
-
-        def spy(self, other):
-            products["Series"] += isinstance(other, Series)
-            return mul(self, other)
+        kernel_mul, kernel_square = identities._mul, identities._square
 
         def mul_spy(p, q, n=None):
             products["_mul"] += 1
@@ -1094,7 +1091,6 @@ class TestGridTables:
             products["_square"] += 1
             return kernel_square(p, n)
 
-        monkeypatch.setattr(Series, "__mul__", spy)
         monkeypatch.setattr(identities, "_mul", mul_spy)
         monkeypatch.setattr(identities, "_square", square_spy)
         reports = run_suite(identity, RunConfig(max_n_deriv=max_n, series_order=max_n + 32))
@@ -1277,19 +1273,16 @@ class TestAlgebraOfC:
     @pytest.mark.parametrize("order", [9, 22, 64])
     def test_series_powers_without_products(self, order):
         """The ode_table's powers, a subtraction and a shift per step, are
-        C^(k+1) by repeated products and by the closed form C_n^(k+1), and
-        each derivative is the series derivative."""
+        the closed form C_n^(k+1), and derivative k has coefficients
+        (n+k)!/n! C_(n+k), read off closed forms that share no code with
+        the integer kernel."""
         N = min(16, order - 8)
         powers, derivs = identities.ode_table(N, "series", order)
-        cat = catalan_series(order)
-        power = cat
         for k, entry in enumerate(powers):
-            assert entry == power.num
             assert list(entry) == [higher_catalan(k + 1, n) for n in range(order + 1)]
-            power = power * cat
-        assert derivs[0] == cat.num
-        for k in range(N):
-            assert derivs[k + 1] == Series(derivs[k]).derivative().num
+        for k, entry in enumerate(derivs):
+            assert list(entry) == [perm(n + k, k) * catalan_closed(n + k)
+                                   for n in range(order - k + 1)]
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_row_in_c_is_the_ring_sum(self, shift):
@@ -1416,17 +1409,18 @@ class TestOdeTableMemo:
 
 
 def _thm3_series_with_dense_s(N, order, table, ode):
-    """verify_thm3 in series mode with every step a product of two series:
-    Horner by Series(u), u = 1-4t, and s y by Series(s) for odd N, the
-    dense product that only a failing row takes now."""
-    powers, derivs = ([Series(x) for x in part] for part in ode)
-    u = Series(half_power_coeffs(2, order))
-    y = table.entry(0, N) * derivs[N]
+    """verify_thm3 in series mode with every step a dense product of two
+    coefficient lists: Horner by u = 1-4t, and s y for odd N, the dense
+    product that only a failing row takes now."""
+    powers, derivs = ode
+    u = half_power_coeffs(2, order)
+    k = len(derivs[N])
+    y = [table.entry(0, N) * x for x in derivs[N]]
     for i in range(1, N // 2 + 1):
-        y = u * y + table.entry(i, N) * derivs[N - i]
+        y = [w + table.entry(i, N) * x for w, x in zip(_mul(u, y, k), derivs[N - i])]
     if N % 2:
-        y = Series(half_power_coeffs(1, y.order)) * y
-    mm = first_mismatch(factorial(N) * powers[N], y)
+        y = _mul(half_power_coeffs(1, k - 1), y, k)
+    mm = first_mismatch(Series([factorial(N) * x for x in powers[N][:k]]), Series(y))
     witness = mm and {"index": str(mm[0]), "lhs": str(mm[1]), "rhs": str(mm[2])}
     return identities.VerificationReport("thm3", {"N": N, "K": order}, "series",
                                          mm is None, witness)
@@ -1530,17 +1524,18 @@ class TestPassPathKernels:
         assert not rep.passed and rep.witness["index"] == str(order - N)
 
     def test_thm3_grid_work(self, monkeypatch):
-        """A passing thm3 grid at max-N 14 adds no two ring elements and no
-        two series.  Each symbolic row builds two ring elements, N! C^(N+1)
-        and its right-hand side, canonicalised once in one
+        """A passing thm3 grid at max-N 14 adds no two ring elements.  Each
+        symbolic row builds two ring elements, N! C^(N+1) and its
+        right-hand side, canonicalised once in one
         `AlgebraicElement.combination`; a series row builds no `Series`."""
         adds = Counter()
-        for cls in (Series, AlgebraicElement):
-            def add_spy(self, other, add=cls.__add__, name=cls.__name__):
-                adds[name] += 1
-                return add(self, other)
+        add = AlgebraicElement.__add__
 
-            monkeypatch.setattr(cls, "__add__", add_spy)
+        def add_spy(self, other):
+            adds["AlgebraicElement"] += 1
+            return add(self, other)
+
+        monkeypatch.setattr(AlgebraicElement, "__add__", add_spy)
         reports = run_suite("thm3", RunConfig(max_n_deriv=14, series_order=22))
         assert len(reports) == 28 and all(r.passed for r in reports)
         assert not adds

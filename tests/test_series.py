@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from catalan_ode.catalan import catalan_closed
 from catalan_ode.exact import binomial_general
+from catalan_ode.identities import _derivative
 from catalan_ode.series import (
     Series,
+    _add,
     _mul,
     _square,
+    _trim,
     catalan_series,
     first_mismatch,
     half_power_coeffs,
@@ -26,80 +30,60 @@ from catalan_ode.series import (
 small_rationals = st.integers(1, 6).flatmap(
     lambda d: st.integers(-5 * d, 5 * d).map(lambda n: Fraction(n, d))
 )
-series16 = st.lists(small_rationals, min_size=17, max_size=17).map(Series)
-
-
-def test_add_basic():
-    assert Series([1, 1]) + Series([1, -1]) == Series([2, 0])
-
-
-def test_add_identity():
-    a = Series([3, Fraction(1, 2), -4])
-    assert a + Series([0, 0, 0]) == a
-
-
-def test_catalan_minus_itself():
-    c = catalan_series(8)
-    assert c + (-c) == Series([0] * 9)
+int_lists16 = st.lists(st.integers(-30, 30), min_size=17, max_size=17)
 
 
 def test_mul_basic():
-    assert Series([1, 1]) * Series([1, 1]) == Series([1, 2])
-    a = Series([1, 1, 0])
-    assert a * a == Series([1, 2, 1])
+    assert _mul([1, 1], [1, 1], 2) == [1, 2]
+    a = [1, 1, 0]
+    assert _mul(a, a, 3) == [1, 2, 1]
 
 
 def test_mul_truncates_to_common_order():
-    a = Series([1, 1, 1, 1])
-    b = Series([1, 1])
-    assert (a * b).order == 1
+    a, b = [1, 1, 1, 1], [1, 1]
+    assert _mul(a, b, min(len(a), len(b))) == [1, 2]
+    assert _mul(a, b) == [1, 2, 2, 2, 1]
 
 
 def test_catalan_times_one_plus_sqrt_is_two():
     k = 64
-    one_plus_sqrt = Series([1] + [0] * k) + Series(half_power_coeffs(1, k))
-    assert catalan_series(k) * one_plus_sqrt == Series([2] + [0] * k)
+    one_plus_sqrt = _add([1], half_power_coeffs(1, k))
+    assert _mul(catalan_series(k).num, one_plus_sqrt, k + 1) == [2] + [0] * k
 
 
 def test_catalan_square_shifts_sequence():
-    c = catalan_series(5)
-    sq = c * c
-    assert list(sq.coeffs) == [1, 2, 5, 14, 42, 132]
+    assert _square(catalan_series(5).num, 6) == [1, 2, 5, 14, 42, 132]
 
 
 def test_catalan_first_power():
-    assert list(catalan_series(4).coeffs) == [1, 1, 2, 5, 14]
+    c = catalan_series(4)
+    assert (c.num, c.den) == ((1, 1, 2, 5, 14), 1)
 
 
 def test_catalan_cube_coefficient():
-    c = catalan_series(2)
-    assert (c * c * c).coeff(2) == 9
+    c = catalan_series(2).num
+    assert _mul(_square(c, 3), c, 3)[2] == 9
 
 
 def test_derivative_basic():
-    assert Series([1, 3, 1]).derivative() == Series([3, 2])
+    assert _derivative((1, 3, 1)) == (3, 2)
 
 
 def test_derivative_of_catalan():
-    assert catalan_series(3).derivative() == Series([1, 4, 15])
-
-
-def test_derivative_order_zero_errors():
-    with pytest.raises(ValueError, match="order-0"):
-        Series([1]).derivative()
+    assert _derivative(catalan_series(3).num) == (1, 4, 15)
 
 
 def test_nfold_derivative_coefficients():
     # coefficient of t^n in the N-th derivative is C_{n+N} (n+N)_N
     k, big_n = 12, 3
-    d = catalan_series(k)
+    d = catalan_series(k).num
     for _ in range(big_n):
-        d = d.derivative()
-    for n in range(d.order + 1):
+        d = _derivative(d)
+    for n in range(len(d)):
         falling = 1
         for j in range(big_n):
             falling *= n + big_n - j
-        assert d.coeff(n) == catalan_closed(n + big_n) * falling
+        assert d[n] == catalan_closed(n + big_n) * falling
 
 
 # (1-4t)^alpha for alpha = e/2 is s^e, s = sqrt(1-4t)
@@ -112,9 +96,9 @@ def test_binomial_power_geometric():
 
 
 def test_binomial_power_half():
-    s = Series(half_power_coeffs(1, 4))
-    assert s.num == (1, -2, -2, -4, -10)
-    assert s * s == Series([1, -4, 0, 0, 0])
+    s = half_power_coeffs(1, 4)
+    assert s == [1, -2, -2, -4, -10]
+    assert _square(s, 5) == [1, -4, 0, 0, 0]
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 2),
@@ -136,16 +120,15 @@ def test_half_power_coeffs_match_binomial(e):
 
 def test_catalan_satisfies_quadratic():
     k = 40
-    c = catalan_series(k)
-    t = Series([0, 1] + [0] * (k - 1))
-    assert Series([1] + [0] * k) + t * c * c == c
+    c = list(catalan_series(k).num)
+    # C = 1 + t C^2, t C^2 a shift of the square
+    assert _add([1], [0, *_square(c, k)]) == c
 
 
 def test_sqrt_times_catalan():
     k = 32
-    c = catalan_series(k)
-    s = Series(half_power_coeffs(1, k))
-    assert s * c == Series([2] + [0] * k) - c
+    c = catalan_series(k).num
+    assert _mul(half_power_coeffs(1, k), c, k + 1) == _add([2], [-x for x in c])
 
 
 def test_sqrt_one_plus_terms():
@@ -194,16 +177,19 @@ def test_first_mismatch():
     assert first_mismatch(Series([1, 2, 3]), Series([1, 5, 3])) == (1, 2, 5)
 
 
-@given(series16, series16, series16)
+@given(int_lists16, int_lists16, int_lists16)
 def test_ring_axioms(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    k = 17
+    assert _mul(a, b, k) == _mul(b, a, k)
+    assert _mul(_mul(a, b, k), c, k) == _mul(a, _mul(b, c, k), k)
+    assert _trim(_mul(a, _add(b, c), k)) == _add(_mul(a, b, k), _mul(a, c, k))
 
 
-@given(series16, series16)
+@given(int_lists16, int_lists16)
 def test_leibniz(a, b):
-    assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+    k = 16
+    assert _trim(list(_derivative(_mul(a, b, k + 1)))) == _add(
+        _mul(_derivative(a), b, k), _mul(a, _derivative(b), k))
 
 
 def naive_mul(a, b):
@@ -217,22 +203,23 @@ fraction_lists = st.lists(small_rationals, min_size=1, max_size=12)
 
 @given(fraction_lists, fraction_lists)
 def test_kernel_matches_fraction_arithmetic(a, b):
+    """The kernel on the integer numerators of two rational series, over
+    the product of their denominators, is the Cauchy product of the
+    rationals; `_derivative` over the one denominator is d/dt."""
     sa, sb = Series(a), Series(b)
     k = min(len(a), len(b))
-    assert list((sa * sb).coeffs) == naive_mul(a, b)
-    assert list((sa + sb).coeffs) == [x + y for x, y in zip(a[:k], b[:k])]
+    den = sa.den * sb.den
+    assert [Fraction(c, den) for c in _mul(sa.num, sb.num, k)] == naive_mul(a, b)
     if len(a) > 1:
-        assert list(sa.derivative().coeffs) == [n * c for n, c in enumerate(a) if n]
+        assert [Fraction(c, sa.den) for c in _derivative(sa.num)] == [
+            n * c for n, c in enumerate(a) if n]
 
 
 @given(fraction_lists)
 def test_canonical_form(a):
     s = Series(a)
     den = lcm(*(c.denominator for c in a))
-    numerators = Series([int(c * den) for c in a])
-    zero = Series([0] * len(a))
-    for t in (Series(numerators.num, den), numerators * Fraction(1, den) + zero):
-        assert s == t and hash(s) == hash(t)
+    assert s == Series([int(c * den) for c in a], den)
     assert s.den == den
     for n, c in enumerate(a):
         got = s.coeff(n)
@@ -243,3 +230,28 @@ def test_canonical_form(a):
 @given(st.lists(st.integers(-2**70, 2**70), max_size=30), st.none() | st.integers(0, 70))
 def test_square_is_the_product_with_itself(p, n):
     assert _square(p, n) == _mul(p, p, n)
+
+
+@pytest.mark.parametrize("e", range(-5, 6))
+def test_half_power_coeffs_match_sympy(e):
+    """An outside oracle: [t^m] s^e = binom(e/2, m) (-4)^m in sympy's
+    rationals, for m <= 60."""
+    sympy = pytest.importorskip("sympy")
+    half = sympy.Rational(e, 2)
+    assert half_power_coeffs(e, 60) == [sympy.binomial(half, m) * (-4) ** m for m in range(61)]
+
+
+def test_kernel_matches_sympy_products():
+    """An outside oracle: `_mul(p, q, n)` and `_square(p, n)` are the
+    truncated products of `sympy.Poly`, on seeded random integer lists."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20)
+    for _ in range(200):
+        p, q = ([rng.randint(-2**40, 2**40) * rng.randint(0, 1) for _ in range(rng.randint(1, 25))]
+                for _ in range(2))
+        n = rng.choice([None, rng.randint(0, 50)])
+        for got, (a, b) in ((_mul(p, q, n), (p, q)), (_square(p, n), (p, p))):
+            size = len(a) + len(b) - 1 if n is None else min(len(a) + len(b) - 1, n)
+            product = sympy.Poly(a[::-1], x) * sympy.Poly(b[::-1], x)
+            assert got == [product.nth(i) for i in range(size)]
