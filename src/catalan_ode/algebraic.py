@@ -31,18 +31,13 @@ def _two_minus_c_power(j: int) -> list[int]:
 
 
 def _div_two_minus_c(p) -> list[int] | None:
-    """p / (2 - C) if the division is exact, else None: the remainder p(2)
-    first, with no list, then synthetic division by the root C = 2."""
-    rem = 0
-    for c in reversed(p):
-        rem = c + 2 * rem
-    if rem:
-        return None
+    """p / (2 - C) if the division is exact, else None: one synthetic
+    division by the root C = 2, whose last carry is the remainder p(2)."""
     quot, carry = [], 0
-    for c in reversed(p[1:]):
+    for c in reversed(p):
         carry = c + 2 * carry
         quot.append(-carry)
-    return quot[::-1]
+    return None if carry else quot[-2::-1]
 
 
 class AlgebraicElement:
@@ -66,21 +61,6 @@ class AlgebraicElement:
             p, d = [c // g for c in p], d // g
         self.p, self.k, self.m, self.d = tuple(p), k, m, d
 
-    @staticmethod
-    def from_rational(c) -> "AlgebraicElement":
-        c = Fraction(c)
-        return AlgebraicElement((c.numerator,), 0, 0, c.denominator)
-
-    @staticmethod
-    def catalan() -> "AlgebraicElement":
-        """C itself."""
-        return AlgebraicElement((1,), 1)
-
-    @staticmethod
-    def half_power(e: int) -> "AlgebraicElement":
-        """s^e = (2-C)^e C^(-e), the record ((1,), -e, -e)."""
-        return AlgebraicElement((1,), -e, -e)
-
     def is_zero(self) -> bool:
         return not self.p
 
@@ -89,9 +69,6 @@ class AlgebraicElement:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraicElement) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _lift(self, k: int, m: int, d: int, c: int) -> list[int]:
         """c p over C^k / (d (2-C)^m), for k <= self.k, m >= self.m and d a
@@ -120,9 +97,6 @@ class AlgebraicElement:
 
     def __add__(self, other: "AlgebraicElement") -> "AlgebraicElement":
         return AlgebraicElement.combination(((1, 0, self), (1, 0, other)))
-
-    def __neg__(self) -> "AlgebraicElement":
-        return self * -1
 
     def __sub__(self, other: "AlgebraicElement") -> "AlgebraicElement":
         return AlgebraicElement.combination(((1, 0, self), (-1, 0, other)))

@@ -37,18 +37,19 @@ thm1 and thm3 are read through the algebra of C, in both mechanisms
   s N! C^(N+1) = N! (2 - C) C^N against u y, so only a failing row takes
   the one dense product by s.
 
-`ode_table` does not depend on the a/b row, so each (N, mode, K) table is
-built once per process.  Every step is exact and linear in the a/b row, so
-the compared elements do not depend on how they were built.  `_compare`
-turns the two sides into a report: integer lists on series, canonical
-records in the ring, whose failure reads t^0 of both sides first.  A
-failing report's witness holds exact decimal strings.
+Each mechanism reads its own table, which does not depend on the a/b row:
+`series_table`, built once per (N, K) per process, and `ring_table`, whose
+D^k C is built once per process for every N.  Every step is exact and
+linear in the a/b row, so the compared elements do not depend on how they
+were built.  `_compare` turns the two sides into a report: integer lists on
+series, canonical records in the ring, whose failure reads t^0 of both
+sides first.  A failing report's witness holds exact decimal strings.
 """
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, lcm, perm
 
@@ -72,9 +73,6 @@ SQRT2_40 = Fraction(isqrt(2 * 10**80), 10**40)
 
 # ln 2 to 36 significant digits.
 LN2_36 = Fraction("0.693147180559945309417232121458176568")
-
-# `ode_table` keys kept: both modes of each N = 1..40 that the CLI accepts.
-ODE_TABLE_CACHE = 80
 
 
 class VerificationReport:
@@ -157,35 +155,42 @@ def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
     return _report(identity, parameters, mode, _symbolic_witness(lhs, rhs))
 
 
-@lru_cache(maxsize=ODE_TABLE_CACHE)
-def ode_table(N: int, mode: str, order: int = 64) -> tuple[tuple, tuple]:
-    """The elements thm1 and thm3 read for every row up to N, in one
-    mechanism: powers = (C^(k+1) for k = 0..N) and derivs = (D^k C for
-    k = 0..N), both tuples.  Ring powers are the records ((1,), k + 1).
-    Series entries are integer coefficient tuples, with no product: powers
-    from the Catalan series to order K + N, one subtraction and shift per
-    step, cut to K + 1 terms, and N `_derivative` passes.  That series is
-    first compared with C_n = binom(2n, n)/(n+1), n <= K + N; a mismatch
-    raises ArithmeticError.  Memoised on (N, mode, order), `ODE_TABLE_CACHE`
-    keys per process; a call that raises is not cached."""
-    _parameters(N, mode, order)
-    if mode == "symbolic":
-        powers = [AlgebraicElement((1,), k + 1) for k in range(N + 1)]
-        step = AlgebraicElement.derivative
-    else:
-        cat = list(catalan_series(order + N).num)
-        if cat != [catalan_closed(n) for n in range(order + N + 1)]:
-            raise ArithmeticError("the Catalan series fails C_n = binom(2n, n)/(n+1)")
-        ladder = [[1] + [0] * (order + N), cat]
-        for _ in range(N):
-            # C^(r+2) = (C^(r+1) - C^r)/t
-            ladder.append([x - y for x, y in zip(ladder[-1][1:], ladder[-2][1:])])
-        powers = [tuple(p[: order + 1]) for p in ladder[1:]]
-        step = _derivative
+@lru_cache(maxsize=40)
+def series_table(N: int, order: int = 64) -> tuple[tuple, tuple]:
+    """The series elements thm1 and thm3 read for every row up to N:
+    powers = (C^(k+1) for k = 0..N) and derivs = (D^k C for k = 0..N),
+    tuples of integer coefficient tuples, with no product: powers from the
+    Catalan series to order K + N, one subtraction and shift per step, cut
+    to K + 1 terms, and N `_derivative` passes.  That series is first
+    compared with C_n = binom(2n, n)/(n+1), n <= K + N; a mismatch raises
+    ArithmeticError.  Memoised on (N, K), 40 keys per process; a call that
+    raises is not cached."""
+    _parameters(N, "series", order)
+    cat = list(catalan_series(order + N).num)
+    if cat != [catalan_closed(n) for n in range(order + N + 1)]:
+        raise ArithmeticError("the Catalan series fails C_n = binom(2n, n)/(n+1)")
+    ladder = [[1] + [0] * (order + N), cat]
+    for _ in range(N):
+        # C^(r+2) = (C^(r+1) - C^r)/t
+        ladder.append([x - y for x, y in zip(ladder[-1][1:], ladder[-2][1:])])
+    powers = tuple(tuple(p[: order + 1]) for p in ladder[1:])
     derivs = [powers[0]]
     for _ in range(N):
-        derivs.append(step(derivs[-1]))
-    return tuple(powers), tuple(derivs)
+        derivs.append(_derivative(derivs[-1]))
+    return powers, tuple(derivs)
+
+
+def ring_table(N: int) -> tuple[AlgebraicElement, ...]:
+    """(D^k C for k = 0..N) in the ring, which thm1 and thm3 read for every
+    row up to N; no K, since the ring is exact."""
+    return tuple(map(_ring_derivative, range(N + 1)))
+
+
+@cache
+def _ring_derivative(k: int) -> AlgebraicElement:
+    """D^k C, built once per process and shared by every `ring_table`, which
+    asks for k = 0, 1, .. in turn, so a call takes at most one step."""
+    return _ring_derivative(k - 1).derivative() if k else AlgebraicElement((1,), 1)
 
 
 def _derivative(num: tuple[int, ...]) -> tuple[int, ...]:
@@ -216,21 +221,22 @@ def _row_in_c(a_table: CoeffTable, N: int) -> list[int]:
 
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None,
-                ode: tuple[tuple, tuple] | None = None) -> VerificationReport:
+                ode: tuple | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
     a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
     the sum is taken as (1-4t)^(-N) sum_k c_k C^(k+1), with c from
     `_row_in_c`: in the ring the one record (c, 2N + 1, 2N), on series a
     combination of the powers of C to order K - N, the order of D^N C,
     then N scans.  D^N C and the powers are read from `ode`, the
-    `ode_table` of this mode and order."""
+    `series_table` of this order on series, the `ring_table` in the ring."""
     N = n_deriv
     params = _parameters(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
-    powers, derivs = ode if ode is not None else ode_table(N, mode, order)
     c = _row_in_c(table, N)
     if mode == "symbolic":
+        derivs = ode if ode is not None else ring_table(N)
         return _compare("thm1", params, mode, derivs[N], AlgebraicElement(c, 2 * N + 1, 2 * N))
+    powers, derivs = ode if ode is not None else series_table(N, order)
     x = [0] * (order - N + 1)
     for ck, p in zip(c, powers):
         x = [w + ck * y for w, y in zip(x, p)]
@@ -296,10 +302,11 @@ def verify_thm2(n: int, n_deriv: int, a_table: CoeffTable | None = None,
 
 def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None,
-                ode: tuple[tuple, tuple] | None = None) -> VerificationReport:
-    """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), with C^(N+1)
-    and C^((N-i)) = D^(N-i) C read from `ode`, the `ode_table` of this mode
-    and order, and row N of the b table read once.
+                ode: tuple | None = None) -> VerificationReport:
+    """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), with
+    C^((N-i)) = D^(N-i) C read from `ode`, the `series_table` of this order
+    on series, with C^(N+1), or the `ring_table` in the ring, where C^(N+1)
+    is the record ((1,), N + 1), and row N of the b table read once.
 
     In the ring the sum is one `AlgebraicElement.combination`: each summand
     is a shift of the record of D^(N-i) C, and the sum is canonicalised
@@ -314,13 +321,14 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     N = n_pow
     params = _parameters(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
-    powers, derivs = ode if ode is not None else ode_table(N, mode, order)
     b = table.row(N)
     f = factorial(N)
     if mode == "symbolic":
+        derivs = ode if ode is not None else ring_table(N)
         rhs = AlgebraicElement.combination((b[i], N - 2 * i, derivs[N - i])
                                            for i in range(N // 2 + 1))
-        return _compare("thm3", params, mode, f * powers[N], rhs)
+        return _compare("thm3", params, mode, AlgebraicElement((f,), N + 1), rhs)
+    powers, derivs = ode if ode is not None else series_table(N, order)
     y = [b[0] * x for x in derivs[N]]
     for i in range(1, N // 2 + 1):
         y = [w + b[i] * x for w, x in zip(_u_power_times(1, y), derivs[N - i])]

@@ -8,11 +8,12 @@ read, and its argument grid, a function of the `RunConfig` and of
 `BUILDERS` names, once per (kind, key) per run, when a selected grid first
 asks for it.  A job is plain data, an identity id and its verifier's
 arguments, the tables last; a verifier called alone builds its own, or
-reads the `ode_table` memoised in `identities`, so a job reads the same
-elements either way.  `run_suite` runs the jobs one after another in one
-thread, times each into its report's `cost` (the table builds are not in
-it), and always sorts the reports the same way, which keeps the JSON
-output byte-deterministic (elapsed times are in the human table only).
+reads the `series_table` or `ring_table` memoised in `identities`, so a job
+reads the same elements either way.  `run_suite` runs the jobs one after
+another in one thread, times each into its report's `cost` (the table
+builds are not in it), and always sorts the reports the same way, which
+keeps the JSON output byte-deterministic (elapsed times are in the human
+table only).
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ JSON_SCHEMA_VERSION = "1"
 # defaults.  The upper bounds keep every number printed within Python's
 # 4300-digit int -> str limit and every `verify` grid to seconds, not hours.
 # --order's smallest value is the smallest --max-N plus 8; RunConfig.validate
-# relates the two when a check that reads the `ode_table` runs, as only those
-# read both.
+# relates the two when a check that reads the `series_table` runs, as only
+# those read both.
 BOUNDS = (
     ("catalan", "--max", "max", 0, 2500),
     ("higher", "--r", "r", 1, 1000),
@@ -86,17 +87,18 @@ class RunConfig:
     def validate(self, identity: str = "all") -> None:
         check_bounds("verify", self)
         if self.series_order < self.max_n_deriv + 8 and any(
-                "ode" in reads for _, (_, reads, _) in _rows(identity)):
+                "series" in reads for _, (_, reads, _) in _rows(identity)):
             raise ValueError("series order K must be at least max N + 8")
 
 
 def _ode_grid(coeffs: str):
     """The thm1/thm3 grid: N = 1..max-N in both modes, on the `coeffs` table
-    and the `ode_table` of each mode."""
+    and each mode's own table, the `series_table` or the `ring_table`."""
     return lambda cfg, table: [
-        (N, mode, cfg.series_order, table(coeffs, cfg.max_n_deriv),
-         table("ode", cfg.max_n_deriv, mode, cfg.series_order))
-        for mode in ("series", "symbolic") for N in range(1, cfg.max_n_deriv + 1)]
+        (N, mode, cfg.series_order, table(coeffs, cfg.max_n_deriv), ode)
+        for mode, ode in (("series", table("series", cfg.max_n_deriv, cfg.series_order)),
+                          ("symbolic", table("ring", cfg.max_n_deriv)))
+        for N in range(1, cfg.max_n_deriv + 1)]
 
 
 def _number_grid(identity: str, coeffs: str):
@@ -117,9 +119,9 @@ def _conv_grid(cfg, table):
 
 # identity id -> (verifier name, kinds of shared table read, argument grid)
 JOBS = {
-    "thm1": ("verify_thm1", ("a", "ode"), _ode_grid("a")),
+    "thm1": ("verify_thm1", ("a", "series", "ring"), _ode_grid("a")),
     "thm2": ("verify_thm2", ("a", "number"), _number_grid("thm2", "a")),
-    "thm3": ("verify_thm3", ("b", "ode"), _ode_grid("b")),
+    "thm3": ("verify_thm3", ("b", "series", "ring"), _ode_grid("b")),
     "thm4": ("verify_thm4", ("b", "number"), _number_grid("thm4", "b")),
     "eq57": ("verify_inverse_delta", ("a", "b"), lambda cfg, table: [
         (N, table("a", cfg.max_n_deriv), table("b", cfg.max_n_deriv))
@@ -134,7 +136,8 @@ JOBS = {
 
 # kind of shared table -> name of its builder in `identities`, looked up at
 # call time; the table's key is the builder's arguments
-BUILDERS = {"a": "a_table_recurrence", "b": "b_table_recurrence", "ode": "ode_table",
+BUILDERS = {"a": "a_table_recurrence", "b": "b_table_recurrence",
+            "series": "series_table", "ring": "ring_table",
             "number": "number_table", "conv": "conv_table"}
 
 

@@ -4,7 +4,9 @@ from catalan_ode import identities
 
 
 @pytest.fixture(autouse=True)
-def fresh_ode_tables():
-    """Each test starts with no memoised `ode_table`, so a spy or a patched
-    kernel sees the table built, whatever ran before."""
-    identities.ode_table.cache_clear()
+def fresh_tables():
+    """Each test starts with no memoised `series_table` and no memoised ring
+    derivative, so a spy or a patched kernel sees the table built, whatever
+    ran before."""
+    identities.series_table.cache_clear()
+    identities._ring_derivative.cache_clear()

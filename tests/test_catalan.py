@@ -11,7 +11,7 @@ from catalan_ode.catalan import (
     catalan_recurrence,
     higher_catalan,
 )
-from catalan_ode.identities import ode_table
+from catalan_ode.identities import series_table
 from catalan_ode.series import catalan_series
 
 FIRST_THIRTEEN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -59,8 +59,8 @@ def test_higher_order_constant_term():
 
 
 def test_higher_order_matches_series_powers():
-    # the powers of the series ode_table are C^1..C^5 at order 12
-    powers, _ = ode_table(4, "series", 12)
+    # the powers of the series_table are C^1..C^5 at order 12
+    powers, _ = series_table(4, 12)
     for r, power in enumerate(powers, 1):
         for n in range(13):
             assert higher_catalan(r, n) == power[n]

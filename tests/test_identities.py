@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -899,6 +901,23 @@ class TestFailureWitness:
             assert reports == {"series": c["series"], "symbolic": c["symbolic"]}, case
             assert not reports["series"][0] and not reports["symbolic"][0], case
 
+    def test_rejections_match_golden_under_optimize_flag(self):
+        """python -O strips asserts; the rejections must not rely on them.
+        A fresh `python -O` process, with empty table memos, reports every
+        case of the golden as committed."""
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_identities as t; "
+                "print(json.dumps([sys.flags.optimize, "
+                "[t._rejection_reports(*case) for case in t._rejection_cases()]]))")
+        out = subprocess.run([sys.executable, "-O", "-c", code, str(tests)], capture_output=True,
+                             text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        golden = json.loads(REJECTIONS.read_text())
+        assert json.loads(out.stdout) == [
+            1, [{"series": c["series"], "symbolic": c["symbolic"]} for c in golden]]
+
     @pytest.mark.parametrize("identity,n,shifts", [
         ("thm1", 3, {1: 1, 2: -1}),
         ("thm1", 5, {1: 1, 2: -1}),
@@ -1015,7 +1034,7 @@ class TestFailureWitness:
     def test_symbolic_witness_names_a_late_index(self):
         from catalan_ode.identities import _symbolic_witness
 
-        c = AlgebraicElement.catalan()
+        c = AlgebraicElement((1,), 1)
         # t^30 = (C-1)^30 C^-60
         t30 = AlgebraicElement([comb(30, i) * (-1) ** (30 - i) for i in range(31)], -60)
         witness = _symbolic_witness(c, c + t30)
@@ -1067,14 +1086,14 @@ class TestFailureWitness:
 
 class TestGridTables:
     """The runner builds each grid's table once and hands it to every job:
-    one `ode_table` per mode for thm1 and thm3, one `number_table` per
-    thm2/thm4 grid, one `conv_table` for eq64 and eq66."""
+    one `series_table` and one `ring_table` for thm1 and thm3, one
+    `number_table` per thm2/thm4 grid, one `conv_table` for eq64 and eq66."""
 
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
     def test_series_products(self, identity, max_n, monkeypatch):
         """The series grid takes no product of two coefficient lists,
-        whatever max-N is.  The ode_table's guard was one, s C = 2 - C,
+        whatever max-N is.  The series_table's guard was one, s C = 2 - C,
         before it compared the Catalan series with the closed form; a ladder
         of powers built by products took max-N more, s^(-2N) in each thm1
         job one more per job, and the s of s^(N mod 2) in thm3 one more per
@@ -1100,10 +1119,11 @@ class TestGridTables:
     def test_run_suite_builds_each_table_once(self, monkeypatch):
         """Each identity alone builds exactly the tables its row of the job
         table reads, each once, and the whole suite builds their union;
-        thm1 and thm3 share one `ode_table` per mode, eq64 and eq66 one
-        `conv_table`, and thm1, thm2 and eq57 one a table.  The runner looks
-        its builders up in `identities`, where the verifiers build their own
-        tables too, so a job without its table shows as one more build."""
+        thm1 and thm3 share one `series_table` and one `ring_table`, eq64
+        and eq66 one `conv_table`, and thm1, thm2 and eq57 one a table.  The
+        runner looks its builders up in `identities`, where the verifiers
+        build their own tables too, so a job without its table shows as one
+        more build."""
         calls = Counter()
         for name in BUILDERS.values():
             def spy(*key, name=name, build=getattr(identities, name)):
@@ -1113,8 +1133,8 @@ class TestGridTables:
             monkeypatch.setattr(identities, name, spy)
         cfg = RunConfig()
         a, b = ("a_table_recurrence", cfg.max_n_deriv), ("b_table_recurrence", cfg.max_n_deriv)
-        ode = [("ode_table", cfg.max_n_deriv, mode, cfg.series_order)
-               for mode in ("series", "symbolic")]
+        ode = [("series_table", cfg.max_n_deriv, cfg.series_order),
+               ("ring_table", cfg.max_n_deriv)]
         conv = ("conv_table", cfg.conv_max)
 
         def number(ident):
@@ -1162,11 +1182,11 @@ class TestGridTables:
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     def test_run_suite_derivative_count(self, identity, monkeypatch):
         """Each job rebuilt D^1 C .. D^N C from C, 105 derivatives per mode
-        at max-N 14; the grid's `ode_table` takes one per step, 14: on
-        series one `_derivative` pass over the coefficient tuple, in the
-        ring `AlgebraicElement.derivative`.  A verifier called alone still
-        takes N on a new key, and none on the grid's key, whose table is
-        memoised."""
+        at max-N 14; the grid's `series_table` and `ring_table` take one per
+        step, 14: on series one `_derivative` pass over the coefficient
+        tuple, in the ring `AlgebraicElement.derivative`.  A verifier called
+        alone still takes N on series at a new K, none in the ring, whose
+        D^k C serve every N, and none on the grid's key."""
         counts = Counter()
         for owner, name, mode in ((identities, "_derivative", "series"),
                                   (AlgebraicElement, "derivative", "symbolic")):
@@ -1182,7 +1202,7 @@ class TestGridTables:
         for mode in ("series", "symbolic"):
             counts.clear()
             assert verify(8, mode, 16).passed
-            assert counts[mode] <= 8
+            assert counts[mode] == (8 if mode == "series" else 0)
             counts.clear()
             assert verify(14, mode, 22).passed
             assert not counts
@@ -1272,12 +1292,12 @@ class TestAlgebraOfC:
 
     @pytest.mark.parametrize("order", [9, 22, 64])
     def test_series_powers_without_products(self, order):
-        """The ode_table's powers, a subtraction and a shift per step, are
+        """The series_table's powers, a subtraction and a shift per step, are
         the closed form C_n^(k+1), and derivative k has coefficients
         (n+k)!/n! C_(n+k), read off closed forms that share no code with
         the integer kernel."""
         N = min(16, order - 8)
-        powers, derivs = identities.ode_table(N, "series", order)
+        powers, derivs = identities.series_table(N, order)
         for k, entry in enumerate(powers):
             assert list(entry) == [higher_catalan(k + 1, n) for n in range(order + 1)]
         for k, entry in enumerate(derivs):
@@ -1289,18 +1309,19 @@ class TestAlgebraOfC:
         """c(C) = sum_i a_i(N) (sC)^i in the ring, for rows 1..40, also
         with the last entry of each row shifted."""
         a = a_table_recurrence(40)
-        sc = AlgebraicElement.half_power(1) * AlgebraicElement.catalan()
+        sc = AlgebraicElement((1,), -1, -1) * AlgebraicElement((1,), 1)
         for N in range(1, 41):
             row = _shifted(a, N, N) if shift else a
-            ring = sum((row.entry(i, N) * prod([sc] * i, start=AlgebraicElement.from_rational(1))
+            ring = sum((row.entry(i, N) * prod([sc] * i, start=AlgebraicElement((1,)))
                         for i in range(1, N + 1)), AlgebraicElement())
             assert AlgebraicElement(identities._row_in_c(row, N)) == ring
 
     @pytest.mark.parametrize("n", [0, 1, 30, 40])
     def test_guard_rejects_a_wrong_catalan_series(self, n, monkeypatch):
         """One shifted coefficient of the Catalan series, up to t^(K+N), the
-        last one compared, makes the series ode_table raise, so the ladder
-        cannot build on a broken kernel."""
+        last one compared, makes the series_table raise, so the ladder
+        cannot build on a broken kernel; the ring mechanism does not read
+        it."""
         true = identities.catalan_series
 
         def shifted(order):
@@ -1310,15 +1331,33 @@ class TestAlgebraOfC:
 
         monkeypatch.setattr(identities, "catalan_series", shifted)
         with pytest.raises(ArithmeticError, match=r"C_n = binom\(2n, n\)/\(n\+1\)"):
-            identities.ode_table(8, "series", 32)
+            identities.series_table(8, 32)
         with pytest.raises(ArithmeticError):
             verify_thm3(8, "series", 32)
-        assert identities.ode_table(8, "symbolic")[0][8] == AlgebraicElement((1,), 9)
+        assert verify_thm3(8, "symbolic", 32).passed
+
+
+def _table(mode, N, order):
+    """The table the verifiers of `mode` read for rows up to N."""
+    return identities.series_table(N, order) if mode == "series" else identities.ring_table(N)
+
+
+def _uncached_table(mode, N, order):
+    """`_table` built afresh: the series one by the unmemoised builder, the
+    ring one by N derivative steps from C."""
+    if mode == "series":
+        return identities.series_table.__wrapped__(N, order)
+    derivs = [AlgebraicElement((1,), 1)]
+    for _ in range(N):
+        derivs.append(derivs[-1].derivative())
+    return tuple(derivs)
 
 
 class TestOdeTableMemo:
-    """`ode_table` depends only on (N, mode, order), so it is memoised per
-    process, boundedly; the a/b table under test never is."""
+    """Each mechanism's table depends only on its own key, (N, K) for
+    `series_table` and N for `ring_table`, so it is memoised per process:
+    `series_table` boundedly, and each D^k C of the ring once for every N;
+    the a/b table under test never is."""
 
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     @pytest.mark.parametrize("mode,first_build", [
@@ -1326,7 +1365,7 @@ class TestOdeTableMemo:
         ("symbolic", {"derivative": 8}),
     ])
     def test_second_lone_call_builds_nothing(self, identity, mode, first_build, monkeypatch):
-        """A second lone call with the same key reads the same table object
+        """A second lone call with the same key reads the same table entries
         and takes no derivative step and no `catalan_closed` value."""
         calls = Counter()
         for owner, name in ((identities, "_derivative"), (AlgebraicElement, "derivative"),
@@ -1339,22 +1378,27 @@ class TestOdeTableMemo:
         verify = getattr(identities, JOBS[identity][0])
         assert verify(8, mode, 16).passed
         assert calls == first_build
-        table = identities.ode_table(8, mode, 16)
+        table = _table(mode, 8, 16)
         calls.clear()
         assert verify(8, mode, 16).passed
-        assert identities.ode_table(8, mode, 16) is table
+        assert all(x is y for x, y in zip(_table(mode, 8, 16), table, strict=True))
         assert not calls
 
     @pytest.mark.parametrize("mode", ["series", "symbolic"])
     def test_entries_are_tuples_of_the_uncached_build(self, mode):
         for N in range(1, 9):
             for order in (N + 8, 64):
-                powers, derivs = identities.ode_table(N, mode, order)
-                assert type(powers) is tuple and type(derivs) is tuple
-                assert len(powers) == len(derivs) == N + 1
+                table = _table(mode, N, order)
+                assert type(table) is tuple and table == _uncached_table(mode, N, order)
                 if mode == "series":
+                    powers, derivs = table
+                    assert type(powers) is tuple and type(derivs) is tuple
+                    assert len(powers) == len(derivs) == N + 1
                     assert all(type(x) is tuple for x in powers + derivs)
-                assert (powers, derivs) == identities.ode_table.__wrapped__(N, mode, order)
+                else:
+                    assert len(table) == N + 1
+        if mode == "symbolic":
+            assert identities._ring_derivative.cache_info().misses == 9
 
     def test_failures_are_not_cached(self, monkeypatch):
         """A guard failure raises on every call, and the call after the
@@ -1369,43 +1413,143 @@ class TestOdeTableMemo:
         monkeypatch.setattr(identities, "catalan_series", shifted)
         for _ in range(2):
             with pytest.raises(ArithmeticError):
-                identities.ode_table(8, "series", 16)
+                identities.series_table(8, 16)
             with pytest.raises(ValueError):
-                identities.ode_table(8, "series", 15)
-        assert identities.ode_table.cache_info().currsize == 0
+                identities.series_table(8, 15)
+        assert identities.series_table.cache_info().currsize == 0
         monkeypatch.undo()
-        assert identities.ode_table(8, "series", 16) == identities.ode_table.__wrapped__(
-            8, "series", 16)
+        assert identities.series_table(8, 16) == identities.series_table.__wrapped__(8, 16)
         assert verify_thm3(8, "series", 16).passed
 
     @pytest.mark.parametrize("identity,entry", [("thm1", 8), ("thm3", 4)])
     @pytest.mark.parametrize("mode", ["series", "symbolic"])
     def test_the_table_under_test_is_not_cached(self, identity, entry, mode):
         """At one key, a shifted row then the true row gives fail then
-        pass, and the reverse order pass then fail."""
+        pass, and the reverse order pass then fail; the second call builds
+        nothing, neither the series table nor any D^k C."""
         verify = getattr(identities, JOBS[identity][0])
         true = a_table_recurrence(8) if identity == "thm1" else b_table_recurrence(8)
         bad = _shifted(true, 8, entry, 7)
+        memo = identities.series_table if mode == "series" else identities._ring_derivative
         for first, second in ((bad, true), (true, bad)):
-            identities.ode_table.cache_clear()
+            memo.cache_clear()
             passed = [verify(8, mode, 16, table).passed for table in (first, second)]
             assert passed == [first is true, second is true]
-            assert identities.ode_table.cache_info().hits == 1
+            assert memo.cache_info().misses == (1 if mode == "series" else 9)
 
     def test_bounded(self):
-        """One key more than the bound leaves the bound, and the least
+        """One key more than the bound of 40 leaves the bound, and the least
         recently used key is built again."""
-        bound = identities.ODE_TABLE_CACHE
-        keys = [(1, mode, order) for order in range(9, 9 + bound)
-                for mode in ("series", "symbolic")][: bound + 1]
+        bound = identities.series_table.cache_info().maxsize
+        assert bound == 40
+        keys = [(1, order) for order in range(9, 9 + bound + 1)]
         for key in keys:
-            identities.ode_table(*key)
-        info = identities.ode_table.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 1)
-        identities.ode_table(*keys[-1])
-        identities.ode_table(*keys[0])
-        info = identities.ode_table.cache_info()
+            identities.series_table(*key)
+        info = identities.series_table.cache_info()
+        assert (info.currsize, info.misses) == (bound, bound + 1)
+        identities.series_table(*keys[-1])
+        identities.series_table(*keys[0])
+        info = identities.series_table.cache_info()
         assert (info.hits, info.misses) == (1, bound + 2)
+
+    @pytest.mark.parametrize("identity", ["thm1", "thm3"])
+    def test_lone_symbolic_calls_share_the_derivatives(self, identity, monkeypatch):
+        """Lone symbolic calls N = 1..8 at K = N + 8 take 8 derivative steps
+        in all, one per D^k C, where tables keyed by (N, K) took
+        1 + 2 + .. + 8 = 36; a lone call at a new K after a suite run takes
+        none."""
+        steps = 0
+        derivative = AlgebraicElement.derivative
+
+        def spy(x):
+            nonlocal steps
+            steps += 1
+            return derivative(x)
+
+        monkeypatch.setattr(AlgebraicElement, "derivative", spy)
+        verify = getattr(identities, JOBS[identity][0])
+        assert all(verify(N, "symbolic", N + 8).passed for N in range(1, 9))
+        assert steps == 8
+        identities._ring_derivative.cache_clear()
+        assert all(r.passed for r in run_suite("all", RunConfig()))
+        steps = 0
+        assert verify(RunConfig.max_n_deriv, "symbolic", 40).passed
+        assert steps == 0
+
+
+# The code that thm1/thm3 reach in one mechanism only, as module.function,
+# from `TestMechanisms._reached`.
+SERIES_ONLY = {
+    "catalan.catalan_closed", "identities._derivative", "identities._u_power_times",
+    "identities.series_table", "series._mul", "series.catalan_series",
+    "series.half_power_coeffs",
+}
+RING_ONLY = {
+    "algebraic.AlgebraicElement.__eq__", "algebraic.AlgebraicElement.__init__",
+    "algebraic.AlgebraicElement._key", "algebraic.AlgebraicElement._lift",
+    "algebraic.AlgebraicElement.combination", "algebraic.AlgebraicElement.derivative",
+    "algebraic.AlgebraicElement.to_series", "algebraic._div_two_minus_c",
+    "identities._ring_derivative", "identities._symbolic_witness", "identities.ring_table",
+    "series.Series.coeff", "series.Series.order", "series._add", "series._trim",
+    "series.first_mismatch",
+}
+# The code both mechanisms reach, each with the reason it may be shared.
+SHARED = {
+    "identities.verify_thm1": "the one entry point of thm1, which picks the mechanism",
+    "identities.verify_thm3": "the one entry point of thm3, which picks the mechanism",
+    "identities._parameters": "checks the arguments and names the report parameters",
+    "identities._row_in_c": "c from the a row, checked again by eq57 and thm2 without it",
+    "identities._compare": "turns the two sides into a report",
+    "identities._report": "report plumbing",
+    "identities._witness": "report plumbing",
+    "identities._exact_str": "report plumbing",
+    "identities.VerificationReport.__init__": "report plumbing",
+    "coefficients.CoeffTable.row": "reads the a/b row under test",
+    "coefficients.CoeffTable.max_n": "reads the a/b row under test",
+    "series.Series.__init__": "the container of catalan_series and of a ring witness",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+class TestMechanisms:
+    """The series and the ring mechanism of thm1/thm3 share no code but the
+    `SHARED` allowlist: each side's D^N C, powers and comparison are built
+    by code the other does not call."""
+
+    @staticmethod
+    def _reached(mode):
+        """Every function of the package that `verify_thm1`/`verify_thm3`
+        reach in `mode`, N = 1..9 at K = 64, on the true a/b rows and on rows
+        with a_1 or b_0 shifted; a nested function or comprehension is named
+        by the function it is in."""
+        package = str(Path(identities.__file__).parent)
+        names = set()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(package):
+                function = code.co_qualname.split(".<locals>")[0]
+                names.add(f"{Path(code.co_filename).stem}.{function}")
+
+        cases = []
+        for verify, true, i in ((verify_thm1, a_table_recurrence(9), 1),
+                                (verify_thm3, b_table_recurrence(9), 0)):
+            cases += [(verify, true, N, True) for N in range(1, 10)]
+            cases += [(verify, _shifted(true, N, i), N, False) for N in range(1, 10)]
+        sys.setprofile(profile)
+        try:
+            passed = [(verify(N, mode, 64, table).passed, expected)
+                      for verify, table, N, expected in cases]
+        finally:
+            sys.setprofile(None)
+        assert all(got is expected for got, expected in passed)
+        return names
+
+    def test_each_mechanism_uses_only_its_own_code(self):
+        series, ring = self._reached("series"), self._reached("symbolic")
+        assert series - ring == SERIES_ONLY
+        assert ring - series == RING_ONLY
+        assert series & ring == set(SHARED)
 
 
 def _thm3_series_with_dense_s(N, order, table, ode):
@@ -1429,14 +1573,16 @@ def _thm3_series_with_dense_s(N, order, table, ode):
 def _thm3_ring_by_horner(N, table, ode):
     """verify_thm3 in symbolic mode by Horner in u = 1-4t over canonical ring
     elements, the way it was built before the one linear combination: every
-    step a product with s^2, a scaling and a sum, s y for odd N."""
-    powers, derivs = ode
+    step a product with s^2, a scaling and a sum, s y for odd N, on the
+    derivatives D^k C of `ode`, and the lhs N! C^(N+1) a product of C."""
+    derivs, c = ode, AlgebraicElement((1,), 1)
     y = table.entry(0, N) * derivs[N]
     for i in range(1, N // 2 + 1):
-        y = AlgebraicElement.half_power(2) * y + table.entry(i, N) * derivs[N - i]
+        y = AlgebraicElement((1,), -2, -2) * y + table.entry(i, N) * derivs[N - i]
     if N % 2:
-        y = AlgebraicElement.half_power(1) * y
-    return identities._compare("thm3", {"N": N}, "symbolic", factorial(N) * powers[N], y)
+        y = AlgebraicElement((1,), -1, -1) * y
+    lhs = factorial(N) * prod([c] * (N + 1), start=AlgebraicElement((1,)))
+    return identities._compare("thm3", {"N": N}, "symbolic", lhs, y)
 
 
 def _cancel_at_zero(table, N, i, j):
@@ -1457,7 +1603,7 @@ class TestPassPathKernels:
         cancelling pairs that move the mismatch past t^0, reports at K = 48
         what the dense product s y reported; the true rows pass."""
         b = b_table_recurrence(40)
-        ode = identities.ode_table(40, "series", 48)
+        ode = identities.series_table(40, 48)
         late = set()
         for N in range(1, 40, 2):
             tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
@@ -1476,7 +1622,7 @@ class TestPassPathKernels:
         """Some odd-row entries shifted by 7, and a cancelling pair, report at
         K = 200 what the dense product s y reported."""
         b = b_table_recurrence(40)
-        ode = identities.ode_table(40, "series", 200)
+        ode = identities.series_table(40, 200)
         bad = b
         for i in entries:
             bad = _shifted(bad, N, i, 7)
@@ -1490,7 +1636,7 @@ class TestPassPathKernels:
         series reported, at K = 48, on the true rows 1..40 and with each
         of their b entries shifted by +1 and by -5."""
         b = b_table_recurrence(40)
-        odes = {mode: identities.ode_table(40, mode, 48) for mode in ("series", "symbolic")}
+        odes = {"series": identities.series_table(40, 48), "symbolic": identities.ring_table(40)}
         for N in range(1, 41):
             tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
             for table in tables:
@@ -1507,7 +1653,7 @@ class TestPassPathKernels:
         product s y, and shifted at t^(K-N+1) passes.  thm1 fails with D^N C
         shifted at its last coefficient t^(K-N)."""
         order = N + 10
-        powers, derivs = identities.ode_table(N, "series", order)
+        powers, derivs = identities.series_table(N, order)
         b = b_table_recurrence(N)
         for index, fails in ((order - N, True), (order - N + 1, False)):
             num = list(powers[N])
@@ -1541,7 +1687,7 @@ class TestPassPathKernels:
         assert not adds
 
         b = b_table_recurrence(14)
-        odes = {mode: identities.ode_table(14, mode, 22) for mode in ("series", "symbolic")}
+        odes = {"series": identities.series_table(14, 22), "symbolic": identities.ring_table(14)}
         built = Counter()
         combination = AlgebraicElement.combination
         for cls in (Series, AlgebraicElement):
