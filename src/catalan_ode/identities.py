@@ -22,36 +22,42 @@ and the 40-digit `Decimal` asymptotic ratio, compared with the band
 thm1 and thm3 are read through the algebra of C, in both mechanisms
 (truncated series, or exact ring elements), with s = sqrt(1-4t):
 
-* C = 1 + t C^2 gives C^(r+2) = (C^(r+1) - C^r)/t, so each power of C on
-  the series side, a plain integer tuple, is one subtraction and one shift
-  of the last two, and no product, once the Catalan series is checked
-  against C_n = binom(2n, n)/(n+1);
-* s C = 2 - C turns the thm1 sum s^(-2N) sum_i a_i(N) (sC)^i C into
-  (1-4t)^(-N) sum_k c_k C^(k+1), with the integer polynomial
-  c = sum_i a_i(N) (2-C)^i (`_row_in_c`);
-* thm3, sum_i b_i(N) s^(N-2i) D^(N-i) C, is in the ring one linear
-  combination (`AlgebraicElement.combination`) of shifted records of the
-  derivatives, canonicalised once; on series it is Horner in u = 1-4t on
-  plain integer lists, each factor u one scan of the coefficients
-  (`_u_power_times`), and the s of odd N is moved to the other side,
-  s N! C^(N+1) = N! (2 - C) C^N against u y, so only a failing row takes
-  the one dense product by s.
+* on series, s^(2N) times thm1 and s^N times thm3 are integer linear
+  relations between two families that do not depend on the a/b row,
+  F_i = s^i C^(i+1) = (2-C)^i C and E_k = s^(2k) D^k C:
+
+      E_N = sum_i a_i(N) F_i,    N! F_N = sum_i b_i(N) E_(N-i);
+
+  `series_table` builds both with no product, once the Catalan series is
+  checked against C_n = binom(2n, n)/(n+1): t (2-C)^2 = (1-4t)(C-1), from
+  C = 1 + t C^2, gives F_(i+2) = (1-4t)(F_i - F_(i+1))/t, and
+  E_(k+1) = (1-4t) E_k' + 4k E_k.  A row is checked one coefficient t^j
+  at a time, as one integer against the dot product of the row with the
+  table's column j (`_compare_scaled`), so a failing row stops at its
+  first differing coefficient;
+* in the ring, s C = 2 - C turns the thm1 sum s^(-2N) sum_i a_i(N) (sC)^i C
+  into the one record of (1-4t)^(-N) sum_k c_k C^(k+1), with the integer
+  polynomial c = sum_i a_i(N) (2-C)^i (`_row_in_c`), and thm3,
+  sum_i b_i(N) s^(N-2i) D^(N-i) C, is one linear combination
+  (`AlgebraicElement.combination`) of shifted records of the derivatives,
+  canonicalised once.
 
 Each mechanism reads its own table, which does not depend on the a/b row:
 `series_table`, built once per (N, K) per process, and `ring_table`, whose
 D^k C is built once per process for every N.  Every step is exact and
 linear in the a/b row, so the compared elements do not depend on how they
-were built.  `_compare` turns the two sides into a report: integer lists on
-series, canonical records in the ring, whose failure reads t^0 of both
-sides first.  A failing report's witness holds exact decimal strings.
+were built.  A series failure's witness is read off the scaled sides, since
+s^e is a unit with constant term 1; a ring failure reads t^0 of both sides
+first (`_compare`).  A failing report's witness holds exact decimal strings.
 """
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, count, zip_longest
 from math import comb, factorial, gcd, isqrt, lcm, perm
+from operator import mul
 
 from .algebraic import AlgebraicElement
 from .catalan import catalan_asymptotic_ratio, catalan_closed, higher_catalan
@@ -143,41 +149,54 @@ def _parameters(N: int, mode: str, order: int) -> dict[str, int]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _compare(identity, parameters, mode, lhs, rhs) -> VerificationReport:
-    """Series sides, integer lists of one length, and ring elements, each
-    with one canonical record, are compared by equality; a series failure's
-    witness is the first differing index, a ring one's `_symbolic_witness`."""
-    if lhs == rhs:
-        return _report(identity, parameters, mode, None)
-    if mode == "series":
-        n = next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-        return _report(identity, parameters, mode, _witness(n, lhs[n], rhs[n]))
-    return _report(identity, parameters, mode, _symbolic_witness(lhs, rhs))
+def _compare(identity, parameters, lhs, rhs) -> VerificationReport:
+    """Two ring elements, each with one canonical record, compared by
+    equality; a failure's witness is `_symbolic_witness`."""
+    witness = None if lhs == rhs else _symbolic_witness(lhs, rhs)
+    return _report(identity, parameters, "symbolic", witness)
+
+
+def _compare_scaled(identity, parameters, e, lhs, row, cols) -> VerificationReport:
+    """The series check of s^e L = s^e R, where lhs lists t^0..t^(K-N) of
+    the scaled left side L and [t^j] R is the dot product of the a/b row
+    with cols[j], compared one j at a time.  s^e is a unit with constant
+    term 1, so the two sides first differ where L and R first do, at n,
+    where s^e L reads sum_(m <= n) [t^m] s^e lhs_(n-m) and s^e R that value
+    plus [t^n] (R - L); these are the witness."""
+    for n, (x, col) in enumerate(zip(lhs, cols)):
+        y = sum(map(mul, row, col))
+        if x != y:
+            value = sum(map(mul, half_power_coeffs(e, n), reversed(lhs[: n + 1])))
+            return _report(identity, parameters, "series", _witness(n, value, value - x + y))
+    return _report(identity, parameters, "series", None)
 
 
 @lru_cache(maxsize=40)
 def series_table(N: int, order: int = 64) -> tuple[tuple, tuple]:
-    """The series elements thm1 and thm3 read for every row up to N:
-    powers = (C^(k+1) for k = 0..N) and derivs = (D^k C for k = 0..N),
-    tuples of integer coefficient tuples, with no product: powers from the
-    Catalan series to order K + N, one subtraction and shift per step, cut
-    to K + 1 terms, and N `_derivative` passes.  That series is first
-    compared with C_n = binom(2n, n)/(n+1), n <= K + N; a mismatch raises
+    """The columns of the series families thm1 and thm3 read for every row up
+    to N, (F columns, E columns): entry k of F column j is [t^j] F_(k+1), of
+    E column j [t^j] E_(N-k), with F_i = s^i C^(i+1) and E_k = s^(2k) D^k C,
+    each exact to order K - i or K - k and None past it, where no check of a
+    row up to N reads.  Built from the Catalan series to order K with no
+    product, each step one pass over the coefficients: F_0 = E_0 = C,
+    F_1 = 2C - (C - 1)/t, F_(i+2) = (1-4t)(F_i - F_(i+1))/t and
+    E_(k+1) = (1-4t) E_k' + 4k E_k.  The Catalan series is first compared
+    with C_n = binom(2n, n)/(n+1), n <= K; a mismatch raises
     ArithmeticError.  Memoised on (N, K), 40 keys per process; a call that
     raises is not cached."""
     _parameters(N, "series", order)
-    cat = list(catalan_series(order + N).num)
-    if cat != [catalan_closed(n) for n in range(order + N + 1)]:
+    cat = list(catalan_series(order).num)
+    if cat != [catalan_closed(n) for n in range(order + 1)]:
         raise ArithmeticError("the Catalan series fails C_n = binom(2n, n)/(n+1)")
-    ladder = [[1] + [0] * (order + N), cat]
-    for _ in range(N):
-        # C^(r+2) = (C^(r+1) - C^r)/t
-        ladder.append([x - y for x, y in zip(ladder[-1][1:], ladder[-2][1:])])
-    powers = tuple(tuple(p[: order + 1]) for p in ladder[1:])
-    derivs = [powers[0]]
-    for _ in range(N):
-        derivs.append(_derivative(derivs[-1]))
-    return powers, tuple(derivs)
+    f = [cat, [2 * x - y for x, y in zip(cat, cat[1:])]]
+    for _ in range(N - 1):
+        p, q = f[-2], f[-1]
+        f.append([x1 - y1 - 4 * (x - y) for x, x1, y, y1 in zip(p, p[1:], q, q[1:])])
+    e = [cat]
+    for k in range(N):
+        # [t^n] of (1-4t) E_k' + 4k E_k is [t^n] E_k' + 4(k - n) [t^n] E_k
+        e.append([y + c * x for y, c, x in zip(_derivative(e[-1]), count(4 * k, -4), e[-1])])
+    return tuple(zip_longest(*f[1:])), tuple(zip_longest(*reversed(e)))
 
 
 def ring_table(N: int) -> tuple[AlgebraicElement, ...]:
@@ -223,24 +242,24 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None,
                 ode: tuple | None = None) -> VerificationReport:
     """N-th derivative of the Catalan generating function versus the sum of
-    a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode;
-    the sum is taken as (1-4t)^(-N) sum_k c_k C^(k+1), with c from
-    `_row_in_c`: in the ring the one record (c, 2N + 1, 2N), on series a
-    combination of the powers of C to order K - N, the order of D^N C,
-    then N scans.  D^N C and the powers are read from `ode`, the
-    `series_table` of this order on series, the `ring_table` in the ring."""
+    a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode.
+    On series, s^(2N) times both sides, E_N = sum_i a_i(N) F_i, is compared
+    at t^0..t^(K-N), the order of D^N C, one column of the `series_table`
+    at a time.  In the ring the sum is (1-4t)^(-N) sum_k c_k C^(k+1), with c
+    from `_row_in_c`, the one record (c, 2N + 1, 2N).  The table is read from
+    `ode`, the `series_table` of this order on series, the `ring_table` in
+    the ring."""
     N = n_deriv
     params = _parameters(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
-    c = _row_in_c(table, N)
     if mode == "symbolic":
         derivs = ode if ode is not None else ring_table(N)
-        return _compare("thm1", params, mode, derivs[N], AlgebraicElement(c, 2 * N + 1, 2 * N))
-    powers, derivs = ode if ode is not None else series_table(N, order)
-    x = [0] * (order - N + 1)
-    for ck, p in zip(c, powers):
-        x = [w + ck * y for w, y in zip(x, p)]
-    return _compare("thm1", params, mode, list(derivs[N]), _u_power_times(-N, x))
+        rhs = AlgebraicElement(_row_in_c(table, N), 2 * N + 1, 2 * N)
+        return _compare("thm1", params, derivs[N], rhs)
+    fcols, ecols = ode if ode is not None else series_table(N, order)
+    at = len(ecols[0]) - 1 - N
+    lhs = [col[at] for col in ecols[: order - N + 1]]
+    return _compare_scaled("thm1", params, -2 * N, lhs, table.row(N), fcols)
 
 
 def number_table(identity: str, N: int, nmax: int) -> list[list[list[int]]]:
@@ -304,20 +323,14 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
                 b_table: CoeffTable | None = None,
                 ode: tuple | None = None) -> VerificationReport:
     """N! C^(N+1) versus the sum of b_i(N) s^(N-2i) C^((N-i)), with
-    C^((N-i)) = D^(N-i) C read from `ode`, the `series_table` of this order
-    on series, with C^(N+1), or the `ring_table` in the ring, where C^(N+1)
-    is the record ((1,), N + 1), and row N of the b table read once.
-
-    In the ring the sum is one `AlgebraicElement.combination`: each summand
+    C^((N-i)) = D^(N-i) C, in series or symbolic mode, on row N of the b
+    table read once.  On series, s^N times both sides,
+    N! F_N = sum_i b_i(N) E_(N-i), is compared at t^0..t^(K-N), one column
+    of `ode`, the `series_table` of this order, at a time.  In the ring,
+    where C^(N+1) is the record ((1,), N + 1), the sum is one
+    `AlgebraicElement.combination` of `ode`, the `ring_table`: each summand
     is a shift of the record of D^(N-i) C, and the sum is canonicalised
-    once.  On series it is s^(N mod 2) y, with y taken by Horner in
-    u = 1-4t on the integer coefficient tuples of the derivatives:
-    y = b_0(N) D^N C, then y <- u y + b_i(N) D^(N-i) C, u y one scan.  For
-    odd N, s N! C^(N+1) = N! (2 C^N - C^(N+1)), from s C = 2 - C, is
-    compared with u y, one more scan: s is a unit with s_0 = 1, so
-    s lhs - u y = s (lhs - s y) and lhs - s y are zero up to the same index.
-    A row builds no `Series`; only a mismatch of odd N takes the dense
-    product s y, for the witness."""
+    once."""
     N = n_pow
     params = _parameters(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
@@ -327,18 +340,11 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
         derivs = ode if ode is not None else ring_table(N)
         rhs = AlgebraicElement.combination((b[i], N - 2 * i, derivs[N - i])
                                            for i in range(N // 2 + 1))
-        return _compare("thm3", params, mode, AlgebraicElement((f,), N + 1), rhs)
-    powers, derivs = ode if ode is not None else series_table(N, order)
-    y = [b[0] * x for x in derivs[N]]
-    for i in range(1, N // 2 + 1):
-        y = [w + b[i] * x for w, x in zip(_u_power_times(1, y), derivs[N - i])]
-    if N % 2:
-        # s N! C^(N+1) = N! (2 - C) C^N
-        lhs = [f * (2 * x - w) for x, w in zip(powers[N - 1], powers[N])]
-        if lhs[: len(y)] == _u_power_times(1, y):
-            return _report("thm3", params, mode, None)
-        y = _mul(half_power_coeffs(1, len(y) - 1), y, len(y))
-    return _compare("thm3", params, mode, [f * x for x in powers[N][: len(y)]], y)
+        return _compare("thm3", params, AlgebraicElement((f,), N + 1), rhs)
+    fcols, ecols = ode if ode is not None else series_table(N, order)
+    at = len(ecols[0]) - 1 - N
+    lhs = [f * col[N - 1] for col in fcols[: order - N + 1]]
+    return _compare_scaled("thm3", params, -N, lhs, b, (col[at:] for col in ecols))
 
 
 def verify_thm4(k: int, n_pow: int, b_table: CoeffTable | None = None,

@@ -12,7 +12,7 @@ from catalan_ode.catalan import (
     higher_catalan,
 )
 from catalan_ode.identities import series_table
-from catalan_ode.series import catalan_series
+from catalan_ode.series import _mul, catalan_series, half_power_coeffs
 
 FIRST_THIRTEEN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
@@ -59,9 +59,13 @@ def test_higher_order_constant_term():
 
 
 def test_higher_order_matches_series_powers():
-    # the powers of the series_table are C^1..C^5 at order 12
-    powers, _ = series_table(4, 12)
-    for r, power in enumerate(powers, 1):
+    # the series_table of N = 4 at order 16 holds F_(r-1) = s^(r-1) C^r to
+    # order 17 - r, s = sqrt(1-4t), for r = 1..5 (F_0 = C is E_0), so
+    # s^(1-r) F_(r-1) is C^1..C^5 at order 12
+    fcols, ecols = series_table(4, 16)
+    rows = [[col[-1] for col in ecols]] + [[col[i] for col in fcols[:13]] for i in range(4)]
+    for r, row in enumerate(rows, 1):
+        power = _mul(half_power_coeffs(1 - r, 12), row[:13], 13)
         for n in range(13):
             assert higher_catalan(r, n) == power[n]
 

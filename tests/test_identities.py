@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, factorial, floor, gcd, isqrt, perm, prod
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from catalan_ode.runner import BOUNDS, BUILDERS, JOBS, NUMBER_MAX_N, RunConfig, 
 from catalan_ode.series import (
     Series,
     _mul,
+    catalan_series,
     first_mismatch,
     half_power_coeffs,
     sqrt_one_plus_series,
@@ -843,17 +846,52 @@ def _rejection_cases():
     cases = [(identity, n, n + 8, ((i, delta),))
              for identity, n, i in _table_entries("thm1", "thm3", 8)
              for delta in (1, -5, 37)]
-
-    def weight(identity, n, i):  # the summand of entry i at t^0, per unit
-        return 1 if identity == "thm1" else factorial(n - i) * catalan_closed(n - i)
-
     for identity, n, i, j in (("thm1", 2, 1, 2), ("thm1", 5, 1, 5), ("thm1", 8, 3, 8),
                               ("thm3", 2, 0, 1), ("thm3", 3, 0, 1), ("thm3", 5, 0, 2),
                               ("thm3", 8, 1, 4)):
-        wi, wj = weight(identity, n, i), weight(identity, n, j)
-        g = gcd(wi, wj)
-        cases.append((identity, n, 64, ((i, wj // g), (j, -wi // g))))
+        cases.append((identity, n, 64, _cancelling_pair(identity, n, i, j)))
     return cases
+
+
+def _cancelling_pair(identity, n, i, j, m=1):
+    """Shifts of entries i and j of row n, m times the least pair whose
+    summands cancel at t^0, where entry i of the a row reads 1 and entry i
+    of the b row (n-i)! C_(n-i)."""
+    def weight(i):
+        return 1 if identity == "thm1" else factorial(n - i) * catalan_closed(n - i)
+
+    wi, wj = weight(i), weight(j)
+    g = gcd(wi, wj)
+    return (i, m * wj // g), (j, -m * wi // g)
+
+
+def _late_rejections():
+    """(identity, N, K, table): for thm1 and thm3 at N = 2..16 and each K in
+    {N + 8, 64, 200}, the a/b table with a seeded `_cancelling_pair` of row
+    N shifted, so that the row fails past t^0, where the mutation benchmark
+    never looks."""
+    rng = random.Random(20161)
+    cases = []
+    for identity in ("thm1", "thm3"):
+        true = a_table_recurrence(16) if identity == "thm1" else b_table_recurrence(16)
+        for n in range(2, 17):
+            entries = range(1, n + 1) if identity == "thm1" else range(n // 2 + 1)
+            for order in (n + 8, 64, 200):
+                i, j = rng.sample(entries, 2)
+                m = rng.randint(1, 9) * rng.choice((-1, 1))
+                table = true
+                for k, delta in _cancelling_pair(identity, n, i, j, m):
+                    table = _shifted(table, n, k, delta)
+                cases.append((identity, n, order, table))
+    return cases
+
+
+def _late_rejection_reports():
+    """[passed, witness] of the series verifier, called alone, on each case of
+    `_late_rejections`."""
+    verify = {"thm1": verify_thm1, "thm3": verify_thm3}
+    return [[rep.passed, rep.witness] for identity, n, order, table in _late_rejections()
+            for rep in [verify[identity](n, "series", order, table)]]
 
 
 def _rejection_reports(identity, n, order, shifts):
@@ -917,6 +955,33 @@ class TestFailureWitness:
         golden = json.loads(REJECTIONS.read_text())
         assert json.loads(out.stdout) == [
             1, [{"series": c["series"], "symbolic": c["symbolic"]} for c in golden]]
+
+    def test_late_rejections_match_the_scans(self):
+        """Every case of `_late_rejections` fails past t^0 with the witness
+        of the algorithm the series mechanism ran before it read F_i and
+        E_k: inverse scans for thm1, Horner with the dense s y for thm3."""
+        cases = _late_rejections()
+        assert len(cases) == 90
+        for case, (passed, witness) in zip(cases, _late_rejection_reports(), strict=True):
+            identity, n, order, table = case
+            old = (_thm1_series_by_scans if identity == "thm1"
+                   else _thm3_series_with_dense_s)(n, order, table,
+                                                   _powers_and_derivatives(n, order))
+            assert [passed, witness] == [old.passed, old.witness], case
+            assert not passed and witness["index"] != "0", case
+
+    def test_late_rejections_under_optimize_flag(self):
+        """A fresh `python -O` process reports every case of
+        `_late_rejections` as this one does."""
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_identities as t; "
+                "print(json.dumps([sys.flags.optimize, t._late_rejection_reports()]))")
+        out = subprocess.run([sys.executable, "-O", "-c", code, str(tests)], capture_output=True,
+                             text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [1, _late_rejection_reports()]
 
     @pytest.mark.parametrize("identity,n,shifts", [
         ("thm1", 3, {1: 1, 2: -1}),
@@ -1093,12 +1158,10 @@ class TestGridTables:
     @pytest.mark.parametrize("max_n", [1, 8, 16, 32])
     def test_series_products(self, identity, max_n, monkeypatch):
         """The series grid takes no product of two coefficient lists,
-        whatever max-N is.  The series_table's guard was one, s C = 2 - C,
-        before it compared the Catalan series with the closed form; a ladder
-        of powers built by products took max-N more, s^(-2N) in each thm1
-        job one more per job, and the s of s^(N mod 2) in thm3 one more per
-        odd N, which a passing row now moves to the other side as
-        s N! C^(N+1) = N! (2 - C) C^N."""
+        whatever max-N is: the series_table builds F_i and E_k by one pass
+        per step, and each row is checked by dot products of integers with
+        the table's columns, the s^e factors of thm1/thm3 moved into F and
+        E."""
         products = Counter()
         kernel_mul, kernel_square = identities._mul, identities._square
 
@@ -1292,17 +1355,42 @@ class TestAlgebraOfC:
 
     @pytest.mark.parametrize("order", [9, 22, 64])
     def test_series_powers_without_products(self, order):
-        """The series_table's powers, a subtraction and a shift per step, are
-        the closed form C_n^(k+1), and derivative k has coefficients
-        (n+k)!/n! C_(n+k), read off closed forms that share no code with
-        the integer kernel."""
+        """The series_table's rows, one pass over the coefficients per step,
+        are F_i = (2-C)^i C, whose t^n coefficient is
+        sum_j binom(i, j) 2^(i-j) (-1)^j C_n^(j+1), and
+        E_k = (1-4t)^k D^k C, whose t^n coefficient is
+        sum_m binom(k, m) (-4)^m (n-m+k)!/(n-m)! C_(n-m+k), each to order
+        K - i or K - k: closed forms that share no code with the integer
+        kernel."""
         N = min(16, order - 8)
-        powers, derivs = identities.series_table(N, order)
-        for k, entry in enumerate(powers):
-            assert list(entry) == [higher_catalan(k + 1, n) for n in range(order + 1)]
-        for k, entry in enumerate(derivs):
-            assert list(entry) == [perm(n + k, k) * catalan_closed(n + k)
-                                   for n in range(order - k + 1)]
+        f_rows, e_rows = _series_rows(identities.series_table(N, order))
+        assert len(f_rows) == N and len(e_rows) == N + 1
+        for i, entry in enumerate(f_rows, 1):
+            assert entry == [sum(comb(i, j) * 2 ** (i - j) * (-1) ** j * higher_catalan(j + 1, n)
+                                 for j in range(i + 1))
+                             for n in range(order - i + 1)]
+        for k, entry in enumerate(e_rows):
+            assert entry == [sum(comb(k, m) * (-4) ** m * perm(n - m + k, k)
+                                 * catalan_closed(n - m + k) for m in range(min(k, n) + 1))
+                             for n in range(order - k + 1)]
+
+    @pytest.mark.parametrize("order,max_ns", [(9, [1]), (22, range(1, 13)),
+                                              (64, range(1, 13)), (512, [40])])
+    def test_families_are_kernel_products(self, order, max_ns):
+        """The series_table of each N holds F_i = s^i C^(i+1) for i = 1..N to
+        order K - i and E_k = s^(2k) D^k C for k = 0..N to order K - k, as
+        the integer kernel multiplies them: `_mul` of `half_power_coeffs`
+        and the closed forms C_n^(i+1) and (n+k)!/n! C_(n+k)."""
+        top = max(max_ns)
+        f_rows = [_mul(half_power_coeffs(i, order - i),
+                       [higher_catalan(i + 1, n) for n in range(order - i + 1)], order - i + 1)
+                  for i in range(1, top + 1)]
+        e_rows = [_mul(half_power_coeffs(2 * k, order - k),
+                       [perm(n + k, k) * catalan_closed(n + k) for n in range(order - k + 1)],
+                       order - k + 1)
+                  for k in range(top + 1)]
+        for N in max_ns:
+            assert _series_rows(identities.series_table(N, order)) == (f_rows[:N], e_rows[:N + 1])
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_row_in_c_is_the_ring_sum(self, shift):
@@ -1318,8 +1406,8 @@ class TestAlgebraOfC:
 
     @pytest.mark.parametrize("n", [0, 1, 30, 40])
     def test_guard_rejects_a_wrong_catalan_series(self, n, monkeypatch):
-        """One shifted coefficient of the Catalan series, up to t^(K+N), the
-        last one compared, makes the series_table raise, so the ladder
+        """One shifted coefficient of the Catalan series, up to t^K, here 40,
+        the last one compared, makes the series_table raise, so F and E
         cannot build on a broken kernel; the ring mechanism does not read
         it."""
         true = identities.catalan_series
@@ -1331,10 +1419,10 @@ class TestAlgebraOfC:
 
         monkeypatch.setattr(identities, "catalan_series", shifted)
         with pytest.raises(ArithmeticError, match=r"C_n = binom\(2n, n\)/\(n\+1\)"):
-            identities.series_table(8, 32)
+            identities.series_table(8, 40)
         with pytest.raises(ArithmeticError):
-            verify_thm3(8, "series", 32)
-        assert verify_thm3(8, "symbolic", 32).passed
+            verify_thm3(8, "series", 40)
+        assert verify_thm3(8, "symbolic", 40).passed
 
 
 def _table(mode, N, order):
@@ -1361,12 +1449,13 @@ class TestOdeTableMemo:
 
     @pytest.mark.parametrize("identity", ["thm1", "thm3"])
     @pytest.mark.parametrize("mode,first_build", [
-        ("series", {"_derivative": 8, "catalan_closed": 25}),
+        ("series", {"_derivative": 8, "catalan_closed": 17}),
         ("symbolic", {"derivative": 8}),
     ])
     def test_second_lone_call_builds_nothing(self, identity, mode, first_build, monkeypatch):
         """A second lone call with the same key reads the same table entries
-        and takes no derivative step and no `catalan_closed` value."""
+        and takes no derivative step and no `catalan_closed` value; the
+        first takes N steps, and on series the K + 1 values of the guard."""
         calls = Counter()
         for owner, name in ((identities, "_derivative"), (AlgebraicElement, "derivative"),
                             (identities, "catalan_closed")):
@@ -1391,10 +1480,12 @@ class TestOdeTableMemo:
                 table = _table(mode, N, order)
                 assert type(table) is tuple and table == _uncached_table(mode, N, order)
                 if mode == "series":
-                    powers, derivs = table
-                    assert type(powers) is tuple and type(derivs) is tuple
-                    assert len(powers) == len(derivs) == N + 1
-                    assert all(type(x) is tuple for x in powers + derivs)
+                    # columns t^0..t^(K-1) of F_1..F_N, t^0..t^K of E_N..E_0
+                    fcols, ecols = table
+                    assert type(fcols) is tuple and type(ecols) is tuple
+                    assert (len(fcols), len(ecols)) == (order, order + 1)
+                    assert {len(x) for x in fcols} == {N} and {len(x) for x in ecols} == {N + 1}
+                    assert all(type(x) is tuple for x in fcols + ecols)
                 else:
                     assert len(table) == N + 1
         if mode == "symbolic":
@@ -1480,26 +1571,25 @@ class TestOdeTableMemo:
 # The code that thm1/thm3 reach in one mechanism only, as module.function,
 # from `TestMechanisms._reached`.
 SERIES_ONLY = {
-    "catalan.catalan_closed", "identities._derivative", "identities._u_power_times",
-    "identities.series_table", "series._mul", "series.catalan_series",
-    "series.half_power_coeffs",
+    "catalan.catalan_closed", "identities._compare_scaled", "identities._derivative",
+    "identities.series_table", "series.catalan_series", "series.half_power_coeffs",
 }
 RING_ONLY = {
     "algebraic.AlgebraicElement.__eq__", "algebraic.AlgebraicElement.__init__",
     "algebraic.AlgebraicElement._key", "algebraic.AlgebraicElement._lift",
     "algebraic.AlgebraicElement.combination", "algebraic.AlgebraicElement.derivative",
     "algebraic.AlgebraicElement.to_series", "algebraic._div_two_minus_c",
-    "identities._ring_derivative", "identities._symbolic_witness", "identities.ring_table",
+    "identities._compare", "identities._ring_derivative", "identities._row_in_c",
+    "identities._symbolic_witness", "identities.ring_table",
     "series.Series.coeff", "series.Series.order", "series._add", "series._trim",
     "series.first_mismatch",
 }
-# The code both mechanisms reach, each with the reason it may be shared.
+# The code both mechanisms reach, each with the reason it may be shared: no
+# mathematics, only the entry points, the a/b row and the report.
 SHARED = {
     "identities.verify_thm1": "the one entry point of thm1, which picks the mechanism",
     "identities.verify_thm3": "the one entry point of thm3, which picks the mechanism",
     "identities._parameters": "checks the arguments and names the report parameters",
-    "identities._row_in_c": "c from the a row, checked again by eq57 and thm2 without it",
-    "identities._compare": "turns the two sides into a report",
     "identities._report": "report plumbing",
     "identities._witness": "report plumbing",
     "identities._exact_str": "report plumbing",
@@ -1513,15 +1603,15 @@ SHARED = {
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
 class TestMechanisms:
     """The series and the ring mechanism of thm1/thm3 share no code but the
-    `SHARED` allowlist: each side's D^N C, powers and comparison are built
-    by code the other does not call."""
+    `SHARED` allowlist: each side's table, right-hand side and comparison
+    are built by code the other does not call."""
 
     @staticmethod
-    def _reached(mode):
+    def _reached(mode, failing=True):
         """Every function of the package that `verify_thm1`/`verify_thm3`
-        reach in `mode`, N = 1..9 at K = 64, on the true a/b rows and on rows
-        with a_1 or b_0 shifted; a nested function or comprehension is named
-        by the function it is in."""
+        reach in `mode`, N = 1..9 at K = 64, on the true a/b rows and, if
+        `failing`, on rows with a_1 or b_0 shifted; a nested function or
+        comprehension is named by the function it is in."""
         package = str(Path(identities.__file__).parent)
         names = set()
 
@@ -1535,7 +1625,7 @@ class TestMechanisms:
         for verify, true, i in ((verify_thm1, a_table_recurrence(9), 1),
                                 (verify_thm3, b_table_recurrence(9), 0)):
             cases += [(verify, true, N, True) for N in range(1, 10)]
-            cases += [(verify, _shifted(true, N, i), N, False) for N in range(1, 10)]
+            cases += [(verify, _shifted(true, N, i), N, False) for N in range(1, 10) if failing]
         sys.setprofile(profile)
         try:
             passed = [(verify(N, mode, 64, table).passed, expected)
@@ -1551,11 +1641,71 @@ class TestMechanisms:
         assert ring - series == RING_ONLY
         assert series & ring == set(SHARED)
 
+    def test_series_pass_path_takes_no_scan_or_product(self):
+        """A passing series row reads its table's columns only: no scan by
+        1 - 4t, no polynomial in C and no kernel product; it reaches all of
+        its mechanism's code and the shared code but the witness."""
+        reached = self._reached("series", failing=False)
+        assert reached == SERIES_ONLY | set(SHARED) - {"identities._witness",
+                                                       "identities._exact_str"}
+        for name in ("identities._u_power_times", "identities._row_in_c", "series._mul"):
+            assert name not in reached
+
+
+def _series_rows(ode):
+    """(F_1..F_N, E_0..E_N) of a `series_table`, each row a list of its
+    coefficients, read back off the table's columns."""
+    fcols, ecols = ode
+    f_rows, e_rows = ([[x for x in row if x is not None] for row in zip(*cols)]
+                      for cols in (fcols, ecols))
+    return f_rows, e_rows[::-1]
+
+
+def _shifted_column(cols, j, k, delta=1):
+    """`cols`, columns of a `series_table`, with entry k of column j shifted."""
+    col = list(cols[j])
+    col[k] += delta
+    return (*cols[:j], tuple(col), *cols[j + 1:])
+
+
+def _powers_and_derivatives(N, order):
+    """(C^1..C^(N+1) to order K, D^0 C..D^N C to order K - k) as integer
+    tuples, built the way the series mechanism built them before it read
+    F_i and E_k: a ladder C^(r+2) = (C^(r+1) - C^r)/t from the Catalan
+    series to order K + N, and N derivative passes."""
+    ladder = [[1] + [0] * (order + N), list(catalan_series(order + N).num)]
+    for _ in range(N):
+        ladder.append([x - y for x, y in zip(ladder[-1][1:], ladder[-2][1:])])
+    powers = tuple(tuple(p[: order + 1]) for p in ladder[1:])
+    derivs = [powers[0]]
+    for _ in range(N):
+        derivs.append(tuple([n * c for n, c in enumerate(derivs[-1])][1:]))
+    return powers, tuple(derivs)
+
+
+def _thm1_series_by_scans(N, order, table, ode):
+    """verify_thm1 in series mode the way it was built before it read F_i
+    and E_N, on `ode` from `_powers_and_derivatives`: c = sum_i a_i(N) (2-C)^i
+    by Horner in 2 - C, the combination sum_k c_k C^(k+1) of the powers to
+    order K - N, and N inverse scans by 1 - 4t, compared with D^N C."""
+    powers, derivs = ode
+    c = []
+    for a in (*reversed(table.row(N)), 0):
+        c = [2 * x - w for x, w in zip(c + [0], [0] + c)]
+        c[0] += a
+    x = [sum(ck * p[n] for ck, p in zip(c, powers)) for n in range(order - N + 1)]
+    for _ in range(N):
+        x = list(accumulate(x, lambda w, y: y + 4 * w))
+    mm = first_mismatch(Series(list(derivs[N])), Series(x))
+    witness = mm and {"index": str(mm[0]), "lhs": str(mm[1]), "rhs": str(mm[2])}
+    return identities.VerificationReport("thm1", {"N": N, "K": order}, "series",
+                                         mm is None, witness)
+
 
 def _thm3_series_with_dense_s(N, order, table, ode):
     """verify_thm3 in series mode with every step a dense product of two
-    coefficient lists: Horner by u = 1-4t, and s y for odd N, the dense
-    product that only a failing row takes now."""
+    coefficient lists, on `ode` from `_powers_and_derivatives`: Horner by
+    u = 1-4t, and s y for odd N."""
     powers, derivs = ode
     u = half_power_coeffs(2, order)
     k = len(derivs[N])
@@ -1582,16 +1732,15 @@ def _thm3_ring_by_horner(N, table, ode):
     if N % 2:
         y = AlgebraicElement((1,), -1, -1) * y
     lhs = factorial(N) * prod([c] * (N + 1), start=AlgebraicElement((1,)))
-    return identities._compare("thm3", {"N": N}, "symbolic", lhs, y)
+    return identities._compare("thm3", {"N": N}, lhs, y)
 
 
 def _cancel_at_zero(table, N, i, j):
-    """`table` with b_i(N) and b_j(N) shifted so that their summands cancel at
-    t^0, where D^(N-i) C reads (N-i)! C_(N-i), so that the row fails later."""
-    wi = factorial(N - i) * catalan_closed(N - i)
-    wj = factorial(N - j) * catalan_closed(N - j)
-    g = gcd(wi, wj)
-    return _shifted(_shifted(table, N, i, wj // g), N, j, -wi // g)
+    """`table`, a b table, with b_i(N) and b_j(N) shifted by
+    `_cancelling_pair`, so that the row fails later than t^0."""
+    for k, delta in _cancelling_pair("thm3", N, i, j):
+        table = _shifted(table, N, k, delta)
+    return table
 
 
 class TestPassPathKernels:
@@ -1603,14 +1752,14 @@ class TestPassPathKernels:
         cancelling pairs that move the mismatch past t^0, reports at K = 48
         what the dense product s y reported; the true rows pass."""
         b = b_table_recurrence(40)
-        ode = identities.series_table(40, 48)
+        ode, old = identities.series_table(40, 48), _powers_and_derivatives(40, 48)
         late = set()
         for N in range(1, 40, 2):
             tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
             tables += [_cancel_at_zero(b, N, 0, j) for j in range(1, N // 2 + 1)]
             for table in tables:
                 rep = verify_thm3(N, "series", 48, table, ode)
-                assert rep == _thm3_series_with_dense_s(N, 48, table, ode), N
+                assert rep == _thm3_series_with_dense_s(N, 48, table, old), N
                 assert rep.passed is (table is b)
                 if not rep.passed:
                     late.add(rep.witness["index"] != "0")
@@ -1622,13 +1771,13 @@ class TestPassPathKernels:
         """Some odd-row entries shifted by 7, and a cancelling pair, report at
         K = 200 what the dense product s y reported."""
         b = b_table_recurrence(40)
-        ode = identities.series_table(40, 200)
+        ode, old = identities.series_table(40, 200), _powers_and_derivatives(40, 200)
         bad = b
         for i in entries:
             bad = _shifted(bad, N, i, 7)
         for table in (bad, _cancel_at_zero(b, N, 0, N // 2) if N > 1 else b):
             rep = verify_thm3(N, "series", 200, table, ode)
-            assert rep == _thm3_series_with_dense_s(N, 200, table, ode)
+            assert rep == _thm3_series_with_dense_s(N, 200, table, old)
             assert rep.passed is (table is b)
 
     def test_thm3_is_the_horner_sum(self):
@@ -1637,36 +1786,37 @@ class TestPassPathKernels:
         of their b entries shifted by +1 and by -5."""
         b = b_table_recurrence(40)
         odes = {"series": identities.series_table(40, 48), "symbolic": identities.ring_table(40)}
+        old = _powers_and_derivatives(40, 48)
         for N in range(1, 41):
             tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
             for table in tables:
                 series = verify_thm3(N, "series", 48, table, odes["series"])
                 symbolic = verify_thm3(N, "symbolic", 48, table, odes["symbolic"])
-                assert series == _thm3_series_with_dense_s(N, 48, table, odes["series"]), N
+                assert series == _thm3_series_with_dense_s(N, 48, table, old), N
                 assert symbolic == _thm3_ring_by_horner(N, table, odes["symbolic"]), N
                 assert series.passed is symbolic.passed is (table is b)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_last_compared_coefficient(self, N):
-        """On series, thm3 compares t^0..t^(K-N), the order of D^N C: N! C^(N+1)
-        shifted at t^(K-N) fails there, with the witness of the dense
-        product s y, and shifted at t^(K-N+1) passes.  thm1 fails with D^N C
-        shifted at its last coefficient t^(K-N)."""
+        """On series, thm3 compares t^0..t^(K-N), the order of D^N C: on a
+        table of order K + 1, N! F_N = N! s^N C^(N+1) shifted at t^(K-N)
+        fails there, with the witness of the dense product s y on C^(N+1)
+        shifted there, and shifted at t^(K-N+1) passes.  thm1 fails with
+        E_N = s^(2N) D^N C shifted at its last compared coefficient t^(K-N)."""
         order = N + 10
-        powers, derivs = identities.series_table(N, order)
+        fcols, ecols = identities.series_table(N, order + 1)
+        powers, derivs = _powers_and_derivatives(N, order)
         b = b_table_recurrence(N)
         for index, fails in ((order - N, True), (order - N + 1, False)):
             num = list(powers[N])
             num[index] += 1
-            ode = ((*powers[:N], tuple(num)), derivs)
-            rep = verify_thm3(N, "series", order, b, ode)
-            assert rep == _thm3_series_with_dense_s(N, order, b, ode)
+            old = ((*powers[:N], tuple(num)), derivs)
+            rep = verify_thm3(N, "series", order, b, (_shifted_column(fcols, index, N - 1), ecols))
+            assert rep == _thm3_series_with_dense_s(N, order, b, old)
             assert rep.passed is not fails
             assert fails is False or rep.witness["index"] == str(index)
-        num = list(derivs[N])
-        num[-1] += 1
         rep = verify_thm1(N, "series", order, a_table_recurrence(N),
-                          (powers, (*derivs[:N], tuple(num))))
+                          (fcols, _shifted_column(ecols, order - N, 0)))
         assert not rep.passed and rep.witness["index"] == str(order - N)
 
     def test_thm3_grid_work(self, monkeypatch):
