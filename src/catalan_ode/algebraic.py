@@ -1,33 +1,27 @@
-"""Exact arithmetic in Q(C), C = 1 + t C^2 the Catalan generating function.
+"""Exact elements of Q(C), C = 1 + t C^2 the Catalan generating function.
 
 The conic s^2 = 1 - 4t is rational with parameter C: t = (C-1)/C^2,
 s = (2-C)/C and d/dt = C^3/(2-C) d/dC.  So every element the paper's two
 ODE families produce is p(C) C^k / (d (2-C)^m), stored as the record
 (p, k, m, d): p an integer polynomial in C (lowest degree first, no
 trailing zeros), k and m integers and d >= 1.  A power s^e is the record
-((1,), -e, -e), so multiplying by it shifts k and m and touches no
-coefficient.  A linear combination sum_j c_j s^(e_j) x_j (`combination`,
-of which `+` is the two-term case) lifts every term to one common record
-and canonicalises the sum once.
+((1,), -e, -e).  The ring has no arithmetic of its own: it builds the
+derivatives D^k C, in closed form, one pass over p each, whose numerators
+the thm1/thm3 checks compare as integer polynomials, and it reads a
+failure's exact t-valuation and Taylor coefficients.
 
-Every operation ends by stripping the factors C of p into k, the factors
-2 - C of p into m (synthetic division by the root C = 2, while p(2) = 0)
-and the integer gcd of d and p.  That form, p(0) != 0, p(2) != 0 and
+The constructor strips the factors C of p into k, the factors 2 - C of p
+into m (synthetic division by the root C = 2, while p(2) = 0) and the
+integer gcd of d and p.  That form, p(0) != 0, p(2) != 0 and
 gcd(d, content p) = 1, is unique, so the zero test is `not p` and equality
 is structural; no polynomial gcd is needed.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import gcd
 
-from .series import Series, _add, _mul, _trim, catalan_series, half_power_coeffs
-
-
-def _two_minus_c_power(j: int) -> list[int]:
-    """The coefficients of (2-C)^j in C."""
-    return [comb(j, i) * 2 ** (j - i) * (-1) ** i for i in range(j + 1)]
+from .series import Series, _mul, _trim, catalan_series, half_power_coeffs
 
 
 def _div_two_minus_c(p) -> list[int] | None:
@@ -41,8 +35,7 @@ def _div_two_minus_c(p) -> list[int] | None:
 
 
 class AlgebraicElement:
-    """p(C) C^k / (d (2-C)^m); the field where every identity of the two ODE
-    families can be checked exactly."""
+    """p(C) C^k / (d (2-C)^m), read-only, in one canonical record."""
 
     __slots__ = ("p", "k", "m", "d")
 
@@ -69,47 +62,6 @@ class AlgebraicElement:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraicElement) and self._key() == other._key()
-
-    def _lift(self, k: int, m: int, d: int, c: int) -> list[int]:
-        """c p over C^k / (d (2-C)^m), for k <= self.k, m >= self.m and d a
-        multiple of self.d."""
-        f = c * (d // self.d)
-        q = [f * a for a in self.p]
-        if m > self.m:
-            q = _mul(q, _two_minus_c_power(m - self.m))
-        return [0] * (self.k - k) + q
-
-    @staticmethod
-    def combination(terms) -> "AlgebraicElement":
-        """sum_j c_j s^(e_j) x_j over the triples (c_j, e_j, x_j) of terms, at
-        least one, with integers c_j and e_j.  s^e x is x's record with k and
-        m lowered by e, so each term is lifted to the common C^k / (d (2-C)^m)
-        of all of them, the numerators are summed and the sum is
-        canonicalised once."""
-        terms = list(terms)
-        k = min(x.k - e for _, e, x in terms)
-        m = max(x.m - e for _, e, x in terms)
-        d = lcm(*(x.d for _, _, x in terms))
-        total = []
-        for c, e, x in terms:
-            total = _add(total, x._lift(k + e, m + e, d, c))
-        return AlgebraicElement(total, k, m, d)
-
-    def __add__(self, other: "AlgebraicElement") -> "AlgebraicElement":
-        return AlgebraicElement.combination(((1, 0, self), (1, 0, other)))
-
-    def __sub__(self, other: "AlgebraicElement") -> "AlgebraicElement":
-        return AlgebraicElement.combination(((1, 0, self), (-1, 0, other)))
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            n = other.numerator
-            return AlgebraicElement([n * c for c in self.p], self.k, self.m,
-                                    self.d * other.denominator)
-        return AlgebraicElement(_mul(self.p, other.p), self.k + other.k,
-                                self.m + other.m, self.d * other.d)
-
-    __rmul__ = __mul__
 
     def valuation(self) -> int:
         """The index of the first nonzero Taylor coefficient of a nonzero

@@ -20,9 +20,18 @@ from .exact import double_factorial_odd
 
 class CoeffTable(namedtuple("CoeffTable", "family rows")):
     """Rows 1..max_n of family "a" or "b"; rows[N-1] is row N, a tuple of
-    ints.  Immutable and hashable, equal iff family and rows are."""
+    ints, a_1(N)..a_N(N) or b_0(N)..b_(N//2)(N).  A row of any other width
+    raises ValueError.  Immutable and hashable, equal iff family and rows
+    are."""
 
     __slots__ = ()
+
+    def __new__(cls, family: str, rows):
+        for n, row in enumerate(rows, 1):
+            width = n if family == "a" else n // 2 + 1
+            if len(row) != width:
+                raise ValueError(f"row {n} of family {family} has {len(row)} entries, not {width}")
+        return super().__new__(cls, family, rows)
 
     @property
     def max_n(self) -> int:

@@ -35,20 +35,27 @@ thm1 and thm3 are read through the algebra of C, in both mechanisms
   at a time, as one integer against the dot product of the row with the
   table's column j (`_compare_scaled`), so a failing row stops at its
   first differing coefficient;
-* in the ring, s C = 2 - C turns the thm1 sum s^(-2N) sum_i a_i(N) (sC)^i C
-  into the one record of (1-4t)^(-N) sum_k c_k C^(k+1), with the integer
-  polynomial c = sum_i a_i(N) (2-C)^i (`_row_in_c`), and thm3,
-  sum_i b_i(N) s^(N-2i) D^(N-i) C, is one linear combination
-  (`AlgebraicElement.combination`) of shifted records of the derivatives,
-  canonicalised once.
+* in the ring, every D^k C, k >= 1, is the record
+  p_k C^(2k+1) / (2-C)^(2k-1) with an integer polynomial p_k of degree
+  k - 1, and s C = 2 - C, so over the common record of both sides thm1
+  and thm3 are integer polynomial identities in C:
+
+      p_N = sum_i a_i(N) (2-C)^(i-1),    N! (2-C)^(N-1) = sum_i b_i(N) p_(N-i);
+
+  `ring_table` checks every record and holds the columns of the triangle
+  of (2-C)^i and of the p_k.  A row is checked as the coefficients of C of
+  the left numerator against the dot products of the row with the
+  columns (`_compare_in_c`), and needs no canonical form.
 
 Each mechanism reads its own table, which does not depend on the a/b row:
-`series_table`, built once per (N, K) per process, and `ring_table`, whose
-D^k C is built once per process for every N.  Every step is exact and
-linear in the a/b row, so the compared elements do not depend on how they
-were built.  A series failure's witness is read off the scaled sides, since
-s^e is a unit with constant term 1; a ring failure reads t^0 of both sides
-first (`_compare`).  A failing report's witness holds exact decimal strings.
+`series_table`, built once per (N, K) per process, and `ring_table`, built
+once per N per process from the D^k C, which are built once per process
+for every N.  Every step is exact and linear in the a/b row, so the
+compared values do not depend on how they were built.  A series failure's
+witness is read off the scaled sides, since s^e is a unit with constant
+term 1; a ring failure's off the two numerators, whose sums are the sides
+at t^0 (`_symbolic_witness`).  A failing report's witness holds exact
+decimal strings.
 """
 from __future__ import annotations
 
@@ -125,14 +132,16 @@ def _witness(index, lhs, rhs) -> dict[str, str]:
     return {"index": str(index), "lhs": _exact_str(lhs), "rhs": _exact_str(rhs)}
 
 
-def _symbolic_witness(lhs: AlgebraicElement, rhs: AlgebraicElement) -> dict[str, str]:
-    # t^0 of each side is sum(p)/d; only where those agree is lhs - rhs
-    # built, whose valuation is the first index where lhs and rhs differ.
-    mm = first_mismatch(lhs.to_series(0), rhs.to_series(0))
-    if mm is None:
-        order = (lhs - rhs).valuation()
-        mm = first_mismatch(lhs.to_series(order), rhs.to_series(order))
-    return _witness(*mm)
+def _symbolic_witness(lnum, rnum, k: int, m: int) -> dict[str, str]:
+    # Both sides are integer numerators over C^k / (2-C)^m, which reads 1 at
+    # t = 0, where C = 1, so t^0 of each side is the sum of its numerator.
+    # Only where those agree are the sides built as ring elements; the
+    # valuation of their difference is the first index where they differ.
+    if sum(lnum) != sum(rnum):
+        return _witness(0, sum(lnum), sum(rnum))
+    order = AlgebraicElement([x - y for x, y in zip(lnum, rnum)], k, m).valuation()
+    lhs, rhs = (AlgebraicElement(p, k, m).to_series(order) for p in (lnum, rnum))
+    return _witness(*first_mismatch(lhs, rhs))
 
 
 def _parameters(N: int, mode: str, order: int) -> dict[str, int]:
@@ -147,13 +156,6 @@ def _parameters(N: int, mode: str, order: int) -> dict[str, int]:
     if mode == "symbolic":
         return {"N": N}
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _compare(identity, parameters, lhs, rhs) -> VerificationReport:
-    """Two ring elements, each with one canonical record, compared by
-    equality; a failure's witness is `_symbolic_witness`."""
-    witness = None if lhs == rhs else _symbolic_witness(lhs, rhs)
-    return _report(identity, parameters, "symbolic", witness)
 
 
 def _compare_scaled(identity, parameters, e, lhs, row, cols) -> VerificationReport:
@@ -199,16 +201,43 @@ def series_table(N: int, order: int = 64) -> tuple[tuple, tuple]:
     return tuple(zip_longest(*f[1:])), tuple(zip_longest(*reversed(e)))
 
 
-def ring_table(N: int) -> tuple[AlgebraicElement, ...]:
-    """(D^k C for k = 0..N) in the ring, which thm1 and thm3 read for every
-    row up to N; no K, since the ring is exact."""
-    return tuple(map(_ring_derivative, range(N + 1)))
+def _compare_in_c(identity, parameters, record, lhs, row, cols) -> VerificationReport:
+    """The ring check of thm1/thm3 as an integer polynomial identity in C
+    over the common record C^k / (2-C)^m of both sides, record = (k, m):
+    lhs lists the coefficients of the left numerator, and coefficient j of
+    the right one is the dot product of the a/b row with cols[j].  The right
+    numerator is built whole, since a failure's witness reads all of it."""
+    rhs = [sum(map(mul, row, col)) for col in cols]
+    witness = None if lhs == rhs else _symbolic_witness(lhs, rhs, *record)
+    return _report(identity, parameters, "symbolic", witness)
+
+
+@lru_cache(maxsize=40)
+def ring_table(N: int) -> tuple[tuple, tuple]:
+    """The columns of the ring identities thm1 and thm3 read for every row up
+    to N, (T columns, P columns), j = 0..N-1: entry i of T column j is
+    [C^j] (2-C)^i, i = 0..N-1, and entry k of P column j is [C^j] p_(N-k),
+    k = 0..N-1, each zero past the degree, where
+    D^k C = p_k C^(2k+1) / (2-C)^(2k-1).  Built from the D^k C of
+    `_ring_derivative`, each first checked to be that record, d = 1, with
+    p_k of degree k - 1, so that N columns hold every coefficient; any other
+    record raises ArithmeticError.  Memoised on N, 40 keys per process; a
+    call that raises is not cached."""
+    _parameters(N, "symbolic", 0)
+    p = []
+    for k in range(1, N + 1):
+        x = _ring_derivative(k)
+        if (x.k, x.m, x.d, len(x.p)) != (2 * k + 1, 2 * k - 1, 1, k):
+            raise ArithmeticError(f"D^{k} C is not p C^(2k+1) / (2-C)^(2k-1), p of degree k - 1")
+        p.append(x.p)
+    t = [[comb(i, j) * 2 ** (i - j) * (-1) ** j for j in range(i + 1)] for i in range(N)]
+    return tuple(zip_longest(*t, fillvalue=0)), tuple(zip_longest(*reversed(p), fillvalue=0))
 
 
 @cache
 def _ring_derivative(k: int) -> AlgebraicElement:
     """D^k C, built once per process and shared by every `ring_table`, which
-    asks for k = 0, 1, .. in turn, so a call takes at most one step."""
+    asks for k = 1, 2, .. in turn, so a call takes at most one step."""
     return _ring_derivative(k - 1).derivative() if k else AlgebraicElement((1,), 1)
 
 
@@ -227,17 +256,6 @@ def _u_power_times(j: int, num: list[int]) -> list[int]:
     return num
 
 
-def _row_in_c(a_table: CoeffTable, N: int) -> list[int]:
-    """The integer polynomial c = sum_i a_i(N) (2-C)^i in C, by Horner in
-    2 - C; since s C = 2 - C, sum_i a_i(N) (sC)^i C = sum_k c_k C^(k+1)."""
-    c = []
-    for a in (*reversed(a_table.row(N)), 0):
-        # c <- c (2 - C) + a_i, with a_0 = 0
-        c = [2 * x - w for x, w in zip(c + [0], [0] + c)]
-        c[0] += a
-    return c
-
-
 def verify_thm1(n_deriv: int, mode: str, order: int = 64,
                 a_table: CoeffTable | None = None,
                 ode: tuple | None = None) -> VerificationReport:
@@ -245,17 +263,21 @@ def verify_thm1(n_deriv: int, mode: str, order: int = 64,
     a_i(N) s^(i-2N) C^(i+1), s = sqrt(1-4t), in series or symbolic mode.
     On series, s^(2N) times both sides, E_N = sum_i a_i(N) F_i, is compared
     at t^0..t^(K-N), the order of D^N C, one column of the `series_table`
-    at a time.  In the ring the sum is (1-4t)^(-N) sum_k c_k C^(k+1), with c
-    from `_row_in_c`, the one record (c, 2N + 1, 2N).  The table is read from
-    `ode`, the `series_table` of this order on series, the `ring_table` in
-    the ring."""
+    at a time.  In the ring, over the record C^(2N+1) / (2-C)^(2N-1) of
+    D^N C, p_N = sum_i a_i(N) (2-C)^(i-1) is compared one coefficient of C
+    at a time, p_N read off the `ring_table` and the right side the a row
+    dotted with its columns of the triangle of (2-C)^i.  The table is read
+    from `ode`, the `series_table` of this order on series, the `ring_table`
+    in the ring."""
     N = n_deriv
     params = _parameters(N, mode, order)
     table = a_table if a_table is not None else a_table_recurrence(N)
     if mode == "symbolic":
-        derivs = ode if ode is not None else ring_table(N)
-        rhs = AlgebraicElement(_row_in_c(table, N), 2 * N + 1, 2 * N)
-        return _compare("thm1", params, derivs[N], rhs)
+        tcols, pcols = ode if ode is not None else ring_table(N)
+        at = len(pcols[0]) - N
+        lhs = [col[at] for col in pcols[:N]]
+        return _compare_in_c("thm1", params, (2 * N + 1, 2 * N - 1), lhs, table.row(N),
+                             tcols[:N])
     fcols, ecols = ode if ode is not None else series_table(N, order)
     at = len(ecols[0]) - 1 - N
     lhs = [col[at] for col in ecols[: order - N + 1]]
@@ -327,20 +349,22 @@ def verify_thm3(n_pow: int, mode: str, order: int = 64,
     table read once.  On series, s^N times both sides,
     N! F_N = sum_i b_i(N) E_(N-i), is compared at t^0..t^(K-N), one column
     of `ode`, the `series_table` of this order, at a time.  In the ring,
-    where C^(N+1) is the record ((1,), N + 1), the sum is one
-    `AlgebraicElement.combination` of `ode`, the `ring_table`: each summand
-    is a shift of the record of D^(N-i) C, and the sum is canonicalised
-    once."""
+    over the record C^(N+1) / (2-C)^(N-1) of both sides,
+    N! (2-C)^(N-1) = sum_i b_i(N) p_(N-i) is compared one coefficient of C
+    at a time, the left side read off the triangle of (2-C)^i of the
+    `ring_table`, and the right side the b row dotted with its columns of
+    the numerators p_k of D^k C."""
     N = n_pow
     params = _parameters(N, mode, order)
     table = b_table if b_table is not None else b_table_recurrence(N)
     b = table.row(N)
     f = factorial(N)
     if mode == "symbolic":
-        derivs = ode if ode is not None else ring_table(N)
-        rhs = AlgebraicElement.combination((b[i], N - 2 * i, derivs[N - i])
-                                           for i in range(N // 2 + 1))
-        return _compare("thm3", params, AlgebraicElement((f,), N + 1), rhs)
+        tcols, pcols = ode if ode is not None else ring_table(N)
+        at = len(pcols[0]) - N
+        lhs = [f * col[N - 1] for col in tcols[:N]]
+        return _compare_in_c("thm3", params, (N + 1, N - 1), lhs, b,
+                             (col[at:] for col in pcols[:N]))
     fcols, ecols = ode if ode is not None else series_table(N, order)
     at = len(ecols[0]) - 1 - N
     lhs = [f * col[N - 1] for col in fcols[: order - N + 1]]

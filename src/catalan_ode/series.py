@@ -1,6 +1,6 @@
 """Integer coefficient lists and the rational series read off them.
 
-`_trim`, `_add`, `_mul` and `_square` are the one polynomial kernel of the
+`_trim`, `_mul` and `_square` are the one polynomial kernel of the
 package: lists of Python ints, lowest degree first.  The ring in
 `algebraic` uses them for its numerators, and every series product or
 derivative is taken on integer lists.
@@ -21,15 +21,6 @@ def _trim(p: list[int]) -> list[int]:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _add(p, q) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
 
 
 def _mul(p, q, n: int | None = None) -> list[int]:

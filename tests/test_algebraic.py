@@ -1,7 +1,7 @@
 from fractions import Fraction
-from functools import reduce
-from math import gcd
-from operator import mul
+from functools import cache, reduce
+from itertools import zip_longest
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,14 +11,12 @@ from catalan_ode.algebraic import AlgebraicElement, _div_two_minus_c
 from catalan_ode.identities import _derivative
 from catalan_ode.series import (
     Series,
-    _add,
     _mul,
     first_mismatch,
     half_power_coeffs,
 )
 
 E = AlgebraicElement
-ONE = E((1,))
 TWO = E((2,))
 C = E((1,), 1)
 T = E((-1, 1), -2)  # t = (C-1)/C^2
@@ -38,6 +36,46 @@ small_elem = st.builds(E, small_coeffs, st.integers(-2, 2), st.integers(-2, 2),
                        st.integers(1, 6))
 nonzero_elem = small_elem.filter(lambda x: not x.is_zero())
 
+
+@cache
+def _generator():
+    """C, the generator of sympy's field Q(C), the oracle of this file: the
+    ring has no arithmetic, so sums and products are taken there."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.field("C", sympy.QQ)[1]
+
+
+def _value(x: AlgebraicElement):
+    """The record x = p(C) C^k / (d (2-C)^m) as an element of sympy's Q(C)."""
+    c = _generator()
+    return sum((a * c**i for i, a in enumerate(x.p)), 0 * c) * c**x.k / (x.d * (2 - c) ** x.m)
+
+
+def _record(f) -> AlgebraicElement:
+    """The element f of sympy's Q(C), whose denominator is a rational q times
+    C^a (2-C)^b, built by the constructor from the record
+    (d P / q, -a, b, d), with d the least integer that makes d P / q integral."""
+    num, den = f.numer, f.denom
+    x = den.ring.gens[0]
+    a = b = 0
+    while not den.rem(x):
+        den, a = den.quo(x), a + 1
+    while not den.rem(2 - x):
+        den, b = den.quo(2 - x), b + 1
+    assert den.is_ground
+    q = Fraction(int(den.LC.numerator), int(den.LC.denominator))
+    coeffs = [Fraction(int(r.numerator), int(r.denominator)) / q for r in reversed(num.to_dense())]
+    d = lcm(*(r.denominator for r in coeffs))
+    return E([int(r * d) for r in coeffs], -a, b, d)
+
+
+def _is_canonical(x: AlgebraicElement) -> bool:
+    """p(0) != 0, p(2) != 0 and gcd(d, content p) = 1, or x = 0 as ((), 0, 0, 1)."""
+    if x.is_zero():
+        return (x.k, x.m, x.d) == (0, 0, 1)
+    return bool(x.p[0]) and sum(c * 2**i for i, c in enumerate(x.p)) != 0 and gcd(x.d, *x.p) == 1
+
+
 # Units of the ring as (unit, inverse) pairs: C, 2-C, s, 2, 1-4t, 1+s = 2/C,
 # s^-3, -1, each paired with its inverse written out, and the same pairs
 # swapped.
@@ -47,14 +85,14 @@ UNIT_FACTORS = [
     (S, _s(-1)),
     (TWO, E((1,), 0, 0, 2)),
     (U, _s(-2)),
-    (ONE + S, C * Fraction(1, 2)),
+    (E((2,), -1), E((1,), 1, 0, 2)),
     (_s(-3), _s(3)),
-    (ONE * -1, ONE * -1),
+    (E((-1,)), E((-1,))),
 ]
 UNIT_FACTORS += [(g, f) for f, g in UNIT_FACTORS]
-# a product of unit factors and the product of their inverses
+# a product of unit factors and the product of their inverses, taken in sympy
 unit_pair = st.lists(st.sampled_from(UNIT_FACTORS), min_size=1, max_size=4).map(
-    lambda fs: (reduce(mul, (f for f, _ in fs)), reduce(mul, (g for _, g in fs)))
+    lambda fs: tuple(_record(prod(_value(f[i]) for f in fs)) for i in (0, 1))
 )
 
 
@@ -142,134 +180,153 @@ class TestNormalForm:
 
     def test_quotient_rule(self):
         # d/dt (t / (1-4t)) = 1/(1-4t)^2
-        x = T * _s(-2)
+        x = _record(_value(T) / _value(U))
+        assert x == E((-1, 1), 0, 2)
         assert x.derivative() == _s(-4)
 
 
 class TestAlgebraicElement:
     def test_defining_relation(self):
-        assert S * S == U
+        """s^2 = 1 - 4t: (2-C)^2 over C^2 is the record of s^2, whose value
+        is 1 - 4t."""
+        assert E(_mul((2, -1), (2, -1)), -2) == U
+        assert _value(U) == _value(S) ** 2 == 1 - 4 * _value(T)
 
     def test_catalan_times_one_plus_s(self):
-        assert C * (ONE + S) == TWO
+        assert _value(C) * (1 + _value(S)) == _value(TWO)
+        assert _record(1 + _value(S)) == E((2,), -1)
 
     def test_s_times_catalan(self):
-        assert S * C == TWO - C
+        assert _record(_value(S) * _value(C)) == TWO_MINUS_C == E((1,), 0, -1)
 
     @given(small_elem, unit_pair)
     @settings(max_examples=40)
     def test_canonical_form(self, x, pair):
+        """x times a unit and then its inverse, taken in sympy, comes back
+        as the record of x; x times the unit alone is a canonical record of
+        that value."""
         y, y_inv = pair
-        assert y * y_inv == ONE
-        assert x * y * y_inv == x
-        assert x + y - y == x
+        assert _value(y) * _value(y_inv) == 1
+        assert _record(_value(x) * _value(y) * _value(y_inv)) == x
+        xy = _record(_value(x) * _value(y))
+        assert _is_canonical(xy) and _value(xy) == _value(x) * _value(y)
 
     def test_derivative_of_t_squared(self):
-        assert (T * T).derivative() == TWO * T
+        assert _record(_value(T) ** 2).derivative() == _record(2 * _value(T))
 
     def test_derivative_of_s(self):
         # -2/s = -2C/(2-C)
         assert S.derivative() == E((-2,), 1, 1)
 
     def test_derivative_of_catalan(self):
-        assert C.derivative() == _s(-1) * C * C
+        assert C.derivative() == _record(_value(C) ** 2 / _value(S)) == E((1,), 3, 1)
         # equivalent rational-function form (2C - C^2)/(1-4t)
-        assert C.derivative() == _s(-2) * (TWO * C - C * C)
+        assert C.derivative() == _record((2 * _value(C) - _value(C) ** 2) / _value(U))
 
     def test_catalan_quadratic(self):
-        assert (T * C * C - C + ONE).is_zero()
+        # t C^2 is the record of t shifted by C^2, and equals C - 1
+        assert E(T.p, T.k + 2, T.m, T.d) == E((-1, 1))
+        assert _record(_value(T) * _value(C) ** 2 - _value(C) + 1).is_zero()
 
     def test_half_power_even(self):
-        assert _s(4) == U * U
-        assert _s(3) == U * S
+        assert _record(_value(U) ** 2) == _s(4)
+        assert _record(_value(U) * _value(S)) == _s(3)
 
     @given(st.integers(-40, 40))
     def test_half_power_is_a_record_shift(self, e):
-        """|e| products by s, or by 1/s = C/(2-C), give the record
-        ((1,), -e, -e)."""
-        x = reduce(mul, [S if e > 0 else E((1,), 1, 1)] * abs(e), ONE)
+        """s^e, taken in sympy, is the record ((1,), -e, -e)."""
+        x = _record(_value(S) ** e)
         assert (x.p, x.k, x.m, x.d) == ((1,), -e, -e, 1)
 
     def test_half_power_negative(self):
         assert _s(-1) == E((1,), 1, 1)
-        inv = _s(-1)
-        assert _s(-3) == inv * inv * inv
+        assert _record(_value(_s(-1)) ** 3) == _s(-3)
         for e in range(-9, 10):
-            assert _s(e) * _s(-e) == ONE
+            assert _value(_s(e)) * _value(_s(-e)) == 1
 
     def test_is_zero(self):
-        assert (S - S).is_zero()
-        assert not (ONE + S).is_zero()
+        assert E((0, 0), 3, 2, 7).is_zero()
+        assert _record(_value(S) - _value(S)).is_zero()
+        assert not _record(1 + _value(S)).is_zero() and not S.is_zero()
 
     def test_eq35_inverse_ode_row(self):
-        lhs = 2 * C * C * C
-        rhs = -2 * C.derivative() + U * C.derivative().derivative()
-        assert (lhs - rhs).is_zero()
+        """2 C^3 = -2 C' + (1-4t) C'', on the ring's derivatives."""
+        d1 = C.derivative()
+        assert _value(E((2,), 3)) == -2 * _value(d1) + _value(U) * _value(d1.derivative())
 
     @given(small_elem, small_elem, small_elem)
     @settings(max_examples=40)
     def test_ring_axioms(self, x, y, z):
-        assert x + y == y + x and x * y == y * x
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x + E() == x and x * ONE == x
-        assert (x - x).is_zero()
+        """Sums and products of records, taken in sympy, come back through
+        the constructor as canonical records of the same value, one record
+        per value whatever the order of the operands."""
+        vx, vy, vz = map(_value, (x, y, z))
+        for f in (vx + vy, vx * vy, (vx + vy) * vz, vx - vx):
+            r = _record(f)
+            assert _is_canonical(r) and _value(r) == f
+        assert _record(vx + vy) == _record(vy + vx)
+        assert _record((vx * vy) * vz) == _record(vx * (vy * vz))
+        assert _record(vx) == x
 
     @given(small_elem, st.sampled_from([0, 1, -1, 3, -3, 2**70 + 1]))
     @settings(max_examples=40)
     def test_int_scaling_is_the_ring_product(self, x, c):
-        """Scaling p by an int gives the product with the ring's c."""
-        assert x * c == x * E((c,)) == c * x
+        """Scaling p by an int gives the element times c."""
+        assert E([c * a for a in x.p], x.k, x.m, x.d) == _record(c * _value(x))
 
     @given(small_elem, small_elem, st.integers(1, 6))
     @settings(max_examples=40)
     def test_equality_is_the_zero_test(self, x, y, k):
         """With one canonical record per element, == is the zero test of the
-        difference, for an unrelated y and for x written over k C^-1 (2-C)."""
+        difference in Q(C), for an unrelated y and for x written over
+        k C^-1 (2-C)."""
         same = E(_mul(x.p, (0, 2 * k, -k)), x.k - 1, x.m + 1, k * x.d)
         assert x == same
         for z in (y, same):
-            assert (x == z) is (x - z).is_zero()
+            assert (x == z) is (_value(x) - _value(z) == 0)
 
     @given(small_elem, small_coeffs)
     @settings(max_examples=40)
     def test_sum_over_a_shared_denominator(self, x, p):
-        """Operands that already share k, m and d add their numerators."""
+        """Numerators over a shared k, m and d add: the record of their sum
+        is the sum of the elements."""
         y = E(p, x.k, x.m, x.d)
         assume((y.k, y.m, y.d) == (x.k, x.m, x.d))
-        assert x + y == E(_add(x.p, y.p), x.k, x.m, x.d)
+        total = [a + b for a, b in zip_longest(x.p, y.p, fillvalue=0)]
+        assert E(total, x.k, x.m, x.d) == _record(_value(x) + _value(y))
 
     @given(small_elem, small_elem)
     @settings(max_examples=40)
     def test_leibniz(self, x, y):
-        assert ((x * y).derivative() - (x.derivative() * y + x * y.derivative())).is_zero()
+        vx, vy = _value(x), _value(y)
+        product = _record(vx * vy).derivative()
+        assert _value(product) == _value(x.derivative()) * vy + vx * _value(y.derivative())
 
     @given(small_elem, small_elem, small_elem)
     @settings(max_examples=40)
     def test_distributivity(self, x, y, z):
-        assert (x * (y + z) - (x * y + x * z)).is_zero()
+        """The derivative distributes over sums: D(x + y - 3z) = Dx + Dy - 3Dz."""
+        total = _record(_value(x) + _value(y) - 3 * _value(z))
+        assert _value(total.derivative()) == (_value(x.derivative()) + _value(y.derivative())
+                                              - 3 * _value(z.derivative()))
 
     @given(st.lists(st.integers(-50, 50), max_size=8), st.integers(-6, 6),
            st.integers(-6, 6), st.integers(1, 12))
     @settings(max_examples=100)
     def test_one_pass_derivative(self, p, k, m, d):
-        """The one-pass derivative equals the two-product formula it
-        replaced, C^(k+2) (2-C)^(-m-2) [p' C (2-C) + k p (2-C) + m p C] / d."""
+        """The one-pass derivative is D = C^3/(2-C) d/dC, taken in sympy."""
         x = E(p, k, m, d)
-        dp = [i * c for i, c in enumerate(x.p)][1:]
-        old = E(_add(_mul(dp, (0, 2, -1)), _mul(x.p, (2 * x.k, x.m - x.k))),
-                x.k + 2, x.m + 2, x.d)
-        assert x.derivative() == old
+        c = _generator()
+        assert _value(x.derivative()) == c**3 / (2 - c) * _value(x).diff(c)
 
     @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-4, 4), small_elem),
                     min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_combination_is_the_sum_of_products(self, terms):
-        """sum_j c_j s^(e_j) x_j, canonicalised once, equals the same sum
-        taken by products with s^(e_j) and pairwise additions, and its
-        Taylor coefficients are the series sum of the terms'."""
-        got = E.combination(terms)
-        assert got == reduce(lambda acc, t: acc + t[0] * _s(t[1]) * t[2], terms, E())
+        """sum_j c_j s^(e_j) x_j, taken in sympy as one record, has the
+        Taylor coefficients of the series sum of the terms'."""
+        got = _record(sum((c * _value(_s(e)) * _value(x) for c, e, x in terms),
+                          0 * _generator()))
         series = [Fraction(0)] * 7
         for c, e, x in terms:
             sx = x.to_series(6)
@@ -282,10 +339,11 @@ class TestAlgebraicElement:
     def test_valuation_is_exact(self, x, j):
         """Coefficients 0..v-1 of a nonzero element vanish and coefficient v
         does not, also for x times t^j, whose valuation is v + j."""
-        x = x * reduce(mul, [T] * j, ONE)
         v = x.valuation()
-        sx = x.to_series(v)
-        assert not any(sx.num[:v]) and sx.num[v]
+        x = _record(_value(x) * _value(T) ** j)
+        assert x.valuation() == v + j
+        sx = x.to_series(v + j)
+        assert not any(sx.num[:v + j]) and sx.num[v + j]
 
     def test_valuation_of_zero(self):
         with pytest.raises(ValueError, match="no valuation"):
@@ -327,9 +385,10 @@ class TestToSeries:
         assert _s(-2).to_series(2) == Series([1, 4, 16])
 
     def test_denominator_d(self):
-        # (1 + s)/3 = (2 - 2t - 2t^2 - ...)/3
-        assert ((ONE + S) * Fraction(1, 3)).to_series(2) == Series(
-            [Fraction(2, 3), Fraction(-2, 3), Fraction(-2, 3)])
+        # (1 + s)/3 = 2/(3C) = (2 - 2t - 2t^2 - ...)/3
+        x = E((2,), -1, 0, 3)
+        assert x == _record((1 + _value(S)) / 3)
+        assert x.to_series(2) == Series([Fraction(2, 3), Fraction(-2, 3), Fraction(-2, 3)])
 
     @given(small_elem)
     @settings(max_examples=25)
@@ -344,7 +403,7 @@ class TestToSeries:
         k = 10
         sx, sy = x.to_series(k), y.to_series(k)
         product = Series(_mul(sx.num, sy.num, k + 1), sx.den * sy.den)
-        assert first_mismatch((x * y).to_series(k), product) is None
+        assert first_mismatch(_record(_value(x) * _value(y)).to_series(k), product) is None
 
     @given(small_elem)
     @settings(max_examples=25)

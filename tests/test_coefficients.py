@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from catalan_ode.coefficients import (
+    CoeffTable,
     a_closed_form,
     a_table_recurrence,
     b_closed_form,
@@ -121,3 +122,31 @@ class TestJsonExport:
         t = a_table_recurrence(40)
         doc = json.loads(t.to_json())
         assert int(doc["rows"][39]["entries"][0]) == t.entry(1, 40)
+
+
+class TestRowWidth:
+    """Row n holds n entries in family a and n//2 + 1 in family b; a table
+    with a row of any other width is never built, so neither mode of
+    thm1/thm3, thm2/thm4 nor eq57 reads an entry past the row, or misses
+    one, and `entry` returns no extra value."""
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8])
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_wrong_width_raises(self, family, change, n):
+        table = a_table_recurrence(8) if family == "a" else b_table_recurrence(8)
+        rows = [list(r) for r in table.rows]
+        if change == "extra":
+            rows[n - 1].append(5)
+        else:
+            rows[n - 1].pop()
+        width = n if family == "a" else n // 2 + 1
+        got = width + 1 if change == "extra" else width - 1
+        with pytest.raises(ValueError, match=f"row {n} of family {family} has {got} entries, "
+                                             f"not {width}"):
+            CoeffTable(family, tuple(map(tuple, rows)))
+
+    def test_true_widths_build(self):
+        for family, table in (("a", a_table_recurrence(40)), ("b", b_table_recurrence(40))):
+            assert CoeffTable(family, table.rows) == table
+        assert CoeffTable("a", ()).max_n == 0

@@ -5,8 +5,9 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import ceil, comb, factorial, floor, gcd, isqrt, perm, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -1097,12 +1098,14 @@ class TestFailureWitness:
         assert rep.witness == {"index": "0", "lhs": "1", "rhs": "2"}
 
     def test_symbolic_witness_names_a_late_index(self):
+        """Numerators over C^-60 of C, that is C^61, and of C + t^30, where
+        t^30 = (C-1)^30 C^-60, differ first at t^30."""
         from catalan_ode.identities import _symbolic_witness
 
-        c = AlgebraicElement((1,), 1)
-        # t^30 = (C-1)^30 C^-60
-        t30 = AlgebraicElement([comb(30, i) * (-1) ** (30 - i) for i in range(31)], -60)
-        witness = _symbolic_witness(c, c + t30)
+        c = [0] * 61 + [1]
+        t30 = [comb(30, i) * (-1) ** (30 - i) for i in range(31)]
+        rnum = [x + y for x, y in zip_longest(c, t30, fillvalue=0)]
+        witness = _symbolic_witness(c, rnum, -60, 0)
         c30 = catalan_closed(30)
         assert witness == {"index": "30", "lhs": str(c30), "rhs": str(c30 + 1)}
 
@@ -1147,6 +1150,22 @@ class TestFailureWitness:
         series, symbolic = (verify(40, mode, 48, bad) for mode in ("series", "symbolic"))
         assert not series.passed and not symbolic.passed
         assert series.witness == symbolic.witness
+
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 13])
+    def test_every_coefficient_of_c_is_compared(self, N):
+        """Row N of the a table shifted by delta_i = [x^(i-1)] (2-x)^j, the
+        Taylor coefficients of C^j about C = 2, moves the ring's right
+        numerator sum_i a_i(N) (2-C)^(i-1) by C^j alone; for every
+        j = 0..N-1 the row fails in both modes, with one witness."""
+        a = a_table_recurrence(N)
+        for j in range(N):
+            table = a
+            for m in range(j + 1):
+                table = _shifted(table, N, m + 1, comb(j, m) * 2 ** (j - m) * (-1) ** m)
+            series, symbolic = (verify_thm1(N, mode, N + 8, table) for mode in ("series", "symbolic"))
+            assert not series.passed and not symbolic.passed, j
+            assert series.witness == symbolic.witness, j
 
 
 class TestGridTables:
@@ -1394,15 +1413,43 @@ class TestAlgebraOfC:
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_row_in_c_is_the_ring_sum(self, shift):
-        """c(C) = sum_i a_i(N) (sC)^i in the ring, for rows 1..40, also
-        with the last entry of each row shifted."""
+        """The a row in C, its dot products with the `ring_table`'s columns,
+        is sum_i a_i(N) (sC)^(i-1) = sum_i a_i(N) (2-C)^(i-1) in sympy's
+        Z[C], for rows 1..40, also with the last entry of each row shifted;
+        `test_identities_in_sympy_field` relates it to s^(i-2N) C^(i+1)."""
+        sympy = pytest.importorskip("sympy")
+        _, c = sympy.ring("C", sympy.ZZ)
         a = a_table_recurrence(40)
-        sc = AlgebraicElement((1,), -1, -1) * AlgebraicElement((1,), 1)
+        tcols, _ = identities.ring_table(40)
         for N in range(1, 41):
-            row = _shifted(a, N, N) if shift else a
-            ring = sum((row.entry(i, N) * prod([sc] * i, start=AlgebraicElement((1,)))
-                        for i in range(1, N + 1)), AlgebraicElement())
-            assert AlgebraicElement(identities._row_in_c(row, N)) == ring
+            row = (_shifted(a, N, N) if shift else a).row(N)
+            in_c = sum((sum(map(mul, row, col)) * c**j for j, col in enumerate(tcols)), 0 * c)
+            assert in_c == sum(x * (2 - c) ** (i - 1) for i, x in enumerate(row, 1)), N
+
+    def test_identities_in_sympy_field(self):
+        """An outside oracle: in sympy's Q(C), with D f = C^3/(2-C) f', each
+        D^k C, k <= 12, is p_k C^(2k+1) / (2-C)^(2k-1) with the p_k of the
+        `ring_table`, and for N <= 12 the ring's identities hold,
+        p_N = sum_i a_i(N) (2-C)^(i-1) and N! (2-C)^(N-1) = sum_i b_i(N) p_(N-i),
+        as do thm1 and thm3 with s = (2-C)/C."""
+        sympy = pytest.importorskip("sympy")
+        _, c = sympy.field("C", sympy.QQ)
+        s = (2 - c) / c
+        _, pcols = identities.ring_table(12)
+        p = [None] + [sum(col[12 - k] * c**j for j, col in enumerate(pcols)) for k in range(1, 13)]
+        derivs = [c]
+        for k in range(1, 13):
+            derivs.append(c**3 / (2 - c) * derivs[-1].diff(c))
+            assert derivs[k] == p[k] * c ** (2 * k + 1) / (2 - c) ** (2 * k - 1), k
+        a, b = a_table_recurrence(12), b_table_recurrence(12)
+        for N in range(1, 13):
+            assert p[N] == sum(x * (2 - c) ** (i - 1) for i, x in enumerate(a.row(N), 1)), N
+            assert factorial(N) * (2 - c) ** (N - 1) == sum(
+                x * p[N - i] for i, x in enumerate(b.row(N))), N
+            assert derivs[N] == sum(x * s ** (i - 2 * N) * c ** (i + 1)
+                                    for i, x in enumerate(a.row(N), 1)), N
+            assert factorial(N) * c ** (N + 1) == sum(x * s ** (N - 2 * i) * derivs[N - i]
+                                                      for i, x in enumerate(b.row(N))), N
 
     @pytest.mark.parametrize("n", [0, 1, 30, 40])
     def test_guard_rejects_a_wrong_catalan_series(self, n, monkeypatch):
@@ -1425,6 +1472,66 @@ class TestAlgebraOfC:
         assert verify_thm3(8, "symbolic", 40).passed
 
 
+# Wrong records of D^k C, each one field of (p_k, 2k+1, 2k-1, 1) or the
+# degree k - 1 of p_k changed, for `TestRingGuard`.
+WRONG_RECORDS = {
+    "d": lambda x: AlgebraicElement(x.p, x.k, x.m, 2 * gcd(*x.p) + 1),
+    "k": lambda x: AlgebraicElement(x.p, x.k + 1, x.m),
+    "m": lambda x: AlgebraicElement(x.p, x.k, x.m - 1),
+    "degree": lambda x: AlgebraicElement((*x.p, 1), x.k, x.m),
+}
+
+
+def _wrong_ring_derivative(k, wrong):
+    """`identities._ring_derivative` with D^k C replaced by `wrong` of it."""
+    true = identities._ring_derivative
+    return lambda j: wrong(true(j)) if j == k else true(j)
+
+
+class TestRingGuard:
+    """`ring_table` reads the p_k only after checking that each D^k C is the
+    record (p_k, 2k+1, 2k-1, 1) with p_k of degree k - 1, which is what lets
+    N columns of C hold both ring identities."""
+
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    @pytest.mark.parametrize("field", sorted(WRONG_RECORDS))
+    def test_wrong_record_raises_and_is_not_cached(self, field, k, monkeypatch):
+        """A wrong D^k C, k <= N, makes `ring_table` raise ArithmeticError on
+        every call, with nothing cached, and so every lone symbolic call of
+        thm1/thm3; the series mechanism does not read it, and the call after
+        the mend builds the true table."""
+        monkeypatch.setattr(identities, "_ring_derivative",
+                            _wrong_ring_derivative(k, WRONG_RECORDS[field]))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match=rf"D\^{k} C is not"):
+                identities.ring_table(8)
+            for verify in (verify_thm1, verify_thm3):
+                with pytest.raises(ArithmeticError):
+                    verify(8, "symbolic")
+                assert verify(8, "series", 16).passed
+        assert identities.ring_table.cache_info().currsize == 0
+        if k > 1:  # a table that does not read D^k C builds
+            assert identities.ring_table(k - 1) == _uncached_table("symbolic", k - 1, 16)
+        monkeypatch.undo()
+        assert identities.ring_table(8) == _uncached_table("symbolic", 8, 16)
+        assert verify_thm3(8, "symbolic").passed
+
+    def test_wrong_record_raises_under_optimize_flag(self):
+        """The guard is a raise, not an assert: a fresh `python -O` process
+        with a wrong D^3 C gets ArithmeticError from `ring_table`."""
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_identities as t\n"
+                "t.identities._ring_derivative = t._wrong_ring_derivative(3, t.WRONG_RECORDS['m'])\n"
+                "try:\n    t.identities.ring_table(8)\nexcept ArithmeticError as e:\n"
+                "    print(sys.flags.optimize, e)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code, str(tests)], capture_output=True,
+                             text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("1 D^3 C is not")
+
+
 def _table(mode, N, order):
     """The table the verifiers of `mode` read for rows up to N."""
     return identities.series_table(N, order) if mode == "series" else identities.ring_table(N)
@@ -1432,13 +1539,16 @@ def _table(mode, N, order):
 
 def _uncached_table(mode, N, order):
     """`_table` built afresh: the series one by the unmemoised builder, the
-    ring one by N derivative steps from C."""
+    ring one by N derivative steps from C, the columns of (2-C)^i from
+    binomials and those of the numerators p_k off the records of D^k C."""
     if mode == "series":
         return identities.series_table.__wrapped__(N, order)
     derivs = [AlgebraicElement((1,), 1)]
     for _ in range(N):
         derivs.append(derivs[-1].derivative())
-    return tuple(derivs)
+    powers = [[comb(i, j) * 2 ** (i - j) * (-1) ** j for j in range(i + 1)] for i in range(N)]
+    return (tuple(zip_longest(*powers, fillvalue=0)),
+            tuple(zip_longest(*(x.p for x in derivs[:0:-1]), fillvalue=0)))
 
 
 class TestOdeTableMemo:
@@ -1479,16 +1589,19 @@ class TestOdeTableMemo:
             for order in (N + 8, 64):
                 table = _table(mode, N, order)
                 assert type(table) is tuple and table == _uncached_table(mode, N, order)
+                first, second = table
+                assert type(first) is tuple and type(second) is tuple
+                assert all(type(x) is tuple for x in first + second)
                 if mode == "series":
                     # columns t^0..t^(K-1) of F_1..F_N, t^0..t^K of E_N..E_0
-                    fcols, ecols = table
-                    assert type(fcols) is tuple and type(ecols) is tuple
-                    assert (len(fcols), len(ecols)) == (order, order + 1)
-                    assert {len(x) for x in fcols} == {N} and {len(x) for x in ecols} == {N + 1}
-                    assert all(type(x) is tuple for x in fcols + ecols)
+                    assert (len(first), len(second)) == (order, order + 1)
+                    assert {len(x) for x in first} == {N} and {len(x) for x in second} == {N + 1}
                 else:
-                    assert len(table) == N + 1
+                    # columns C^0..C^(N-1) of (2-C)^0..(2-C)^(N-1), of p_N..p_1
+                    assert (len(first), len(second)) == (N, N)
+                    assert {len(x) for x in first + second} == {N}
         if mode == "symbolic":
+            assert identities.ring_table.cache_info().misses == 8
             assert identities._ring_derivative.cache_info().misses == 9
 
     def test_failures_are_not_cached(self, monkeypatch):
@@ -1517,16 +1630,16 @@ class TestOdeTableMemo:
     def test_the_table_under_test_is_not_cached(self, identity, entry, mode):
         """At one key, a shifted row then the true row gives fail then
         pass, and the reverse order pass then fail; the second call builds
-        nothing, neither the series table nor any D^k C."""
+        nothing, neither the series table nor the ring table."""
         verify = getattr(identities, JOBS[identity][0])
         true = a_table_recurrence(8) if identity == "thm1" else b_table_recurrence(8)
         bad = _shifted(true, 8, entry, 7)
-        memo = identities.series_table if mode == "series" else identities._ring_derivative
+        memo = identities.series_table if mode == "series" else identities.ring_table
         for first, second in ((bad, true), (true, bad)):
             memo.cache_clear()
             passed = [verify(8, mode, 16, table).passed for table in (first, second)]
             assert passed == [first is true, second is true]
-            assert memo.cache_info().misses == (1 if mode == "series" else 9)
+            assert memo.cache_info().misses == 1
 
     def test_bounded(self):
         """One key more than the bound of 40 leaves the bound, and the least
@@ -1572,17 +1685,13 @@ class TestOdeTableMemo:
 # from `TestMechanisms._reached`.
 SERIES_ONLY = {
     "catalan.catalan_closed", "identities._compare_scaled", "identities._derivative",
-    "identities.series_table", "series.catalan_series", "series.half_power_coeffs",
+    "identities.series_table", "series.Series.__init__", "series.catalan_series",
+    "series.half_power_coeffs",
 }
 RING_ONLY = {
-    "algebraic.AlgebraicElement.__eq__", "algebraic.AlgebraicElement.__init__",
-    "algebraic.AlgebraicElement._key", "algebraic.AlgebraicElement._lift",
-    "algebraic.AlgebraicElement.combination", "algebraic.AlgebraicElement.derivative",
-    "algebraic.AlgebraicElement.to_series", "algebraic._div_two_minus_c",
-    "identities._compare", "identities._ring_derivative", "identities._row_in_c",
-    "identities._symbolic_witness", "identities.ring_table",
-    "series.Series.coeff", "series.Series.order", "series._add", "series._trim",
-    "series.first_mismatch",
+    "algebraic.AlgebraicElement.__init__", "algebraic.AlgebraicElement.derivative",
+    "algebraic._div_two_minus_c", "identities._compare_in_c", "identities._ring_derivative",
+    "identities._symbolic_witness", "identities.ring_table", "series._trim",
 }
 # The code both mechanisms reach, each with the reason it may be shared: no
 # mathematics, only the entry points, the a/b row and the report.
@@ -1596,7 +1705,6 @@ SHARED = {
     "identities.VerificationReport.__init__": "report plumbing",
     "coefficients.CoeffTable.row": "reads the a/b row under test",
     "coefficients.CoeffTable.max_n": "reads the a/b row under test",
-    "series.Series.__init__": "the container of catalan_series and of a ring witness",
 }
 
 
@@ -1648,8 +1756,18 @@ class TestMechanisms:
         reached = self._reached("series", failing=False)
         assert reached == SERIES_ONLY | set(SHARED) - {"identities._witness",
                                                        "identities._exact_str"}
-        for name in ("identities._u_power_times", "identities._row_in_c", "series._mul"):
+        for name in ("identities._u_power_times", "series._mul"):
             assert name not in reached
+
+    def test_ring_pass_path_takes_no_canonical_form(self):
+        """A passing ring row on a built `ring_table` compares integers only:
+        it builds no ring element and no series and divides by no 2 - C;
+        it reaches its compare loop and the shared code but the witness."""
+        for N in range(1, 10):
+            identities.ring_table(N)
+        reached = self._reached("symbolic", failing=False)
+        assert reached == {"identities._compare_in_c"} | set(SHARED) - {
+            "identities._witness", "identities._exact_str"}
 
 
 def _series_rows(ode):
@@ -1720,21 +1838,6 @@ def _thm3_series_with_dense_s(N, order, table, ode):
                                          mm is None, witness)
 
 
-def _thm3_ring_by_horner(N, table, ode):
-    """verify_thm3 in symbolic mode by Horner in u = 1-4t over canonical ring
-    elements, the way it was built before the one linear combination: every
-    step a product with s^2, a scaling and a sum, s y for odd N, on the
-    derivatives D^k C of `ode`, and the lhs N! C^(N+1) a product of C."""
-    derivs, c = ode, AlgebraicElement((1,), 1)
-    y = table.entry(0, N) * derivs[N]
-    for i in range(1, N // 2 + 1):
-        y = AlgebraicElement((1,), -2, -2) * y + table.entry(i, N) * derivs[N - i]
-    if N % 2:
-        y = AlgebraicElement((1,), -1, -1) * y
-    lhs = factorial(N) * prod([c] * (N + 1), start=AlgebraicElement((1,)))
-    return identities._compare("thm3", {"N": N}, lhs, y)
-
-
 def _cancel_at_zero(table, N, i, j):
     """`table`, a b table, with b_i(N) and b_j(N) shifted by
     `_cancelling_pair`, so that the row fails later than t^0."""
@@ -1781,20 +1884,22 @@ class TestPassPathKernels:
             assert rep.passed is (table is b)
 
     def test_thm3_is_the_horner_sum(self):
-        """thm3 in both modes reports what Horner over ring elements or
-        series reported, at K = 48, on the true rows 1..40 and with each
-        of their b entries shifted by +1 and by -5."""
+        """thm3 on series reports what Horner over series with the dense s y
+        reported, at K = 48, on the true rows 1..40, with each of their b
+        entries shifted by +1 and by -5, and with cancelling pairs that fail
+        past t^0; the ring reports the same pass flag and witness."""
         b = b_table_recurrence(40)
         odes = {"series": identities.series_table(40, 48), "symbolic": identities.ring_table(40)}
         old = _powers_and_derivatives(40, 48)
         for N in range(1, 41):
             tables = [b] + [_shifted(b, N, i, d) for i in range(N // 2 + 1) for d in (1, -5)]
+            tables += [_cancel_at_zero(b, N, 0, j) for j in range(1, N // 2 + 1)]
             for table in tables:
                 series = verify_thm3(N, "series", 48, table, odes["series"])
                 symbolic = verify_thm3(N, "symbolic", 48, table, odes["symbolic"])
                 assert series == _thm3_series_with_dense_s(N, 48, table, old), N
-                assert symbolic == _thm3_ring_by_horner(N, table, odes["symbolic"]), N
-                assert series.passed is symbolic.passed is (table is b)
+                assert (symbolic.passed, symbolic.witness) == (series.passed, series.witness), N
+                assert series.passed is (table is b)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_last_compared_coefficient(self, N):
@@ -1820,45 +1925,33 @@ class TestPassPathKernels:
         assert not rep.passed and rep.witness["index"] == str(order - N)
 
     def test_thm3_grid_work(self, monkeypatch):
-        """A passing thm3 grid at max-N 14 adds no two ring elements.  Each
-        symbolic row builds two ring elements, N! C^(N+1) and its
-        right-hand side, canonicalised once in one
-        `AlgebraicElement.combination`; a series row builds no `Series`."""
-        adds = Counter()
-        add = AlgebraicElement.__add__
+        """A passing thm1/thm3 grid at max-N 14 builds its ring elements in
+        the `ring_table` only, one per D^k C; a row, in either mode, on a
+        built table builds no ring element, no `Series` and divides by no
+        2 - C."""
+        from catalan_ode import algebraic
 
-        def add_spy(self, other):
-            adds["AlgebraicElement"] += 1
-            return add(self, other)
-
-        monkeypatch.setattr(AlgebraicElement, "__add__", add_spy)
-        reports = run_suite("thm3", RunConfig(max_n_deriv=14, series_order=22))
-        assert len(reports) == 28 and all(r.passed for r in reports)
-        assert not adds
-
-        b = b_table_recurrence(14)
-        odes = {"series": identities.series_table(14, 22), "symbolic": identities.ring_table(14)}
         built = Counter()
-        combination = AlgebraicElement.combination
-        for cls in (Series, AlgebraicElement):
-            def init_spy(self, *args, init=cls.__init__, name=cls.__name__):
-                built[name] += 1
-                init(self, *args)
+        spies = ((AlgebraicElement, "__init__"), (Series, "__init__"),
+                 (algebraic, "_div_two_minus_c"))
+        for owner, name in spies:
+            def spy(*args, call=getattr(owner, name), key=f"{owner.__name__}.{name}"):
+                built[key] += 1
+                return call(*args)
 
-            monkeypatch.setattr(cls, "__init__", init_spy)
-
-        def combination_spy(terms):
-            built["combination"] += 1
-            return combination(terms)
-
-        monkeypatch.setattr(AlgebraicElement, "combination", staticmethod(combination_spy))
+            monkeypatch.setattr(owner, name, spy)
+        for identity in ("thm1", "thm3"):
+            reports = run_suite(identity, RunConfig(max_n_deriv=14, series_order=22))
+            assert len(reports) == 28 and all(r.passed for r in reports)
+        assert built["AlgebraicElement.__init__"] == 15
+        a, b = a_table_recurrence(14), b_table_recurrence(14)
+        odes = {"series": identities.series_table(14, 22), "symbolic": identities.ring_table(14)}
         for N in range(1, 15):
-            built.clear()
-            assert verify_thm3(N, "symbolic", 22, b, odes["symbolic"]).passed
-            assert built == {"AlgebraicElement": 2, "combination": 1}, N
-            built.clear()
-            assert verify_thm3(N, "series", 22, b, odes["series"]).passed
-            assert not built, N
+            for mode in ("series", "symbolic"):
+                built.clear()
+                assert verify_thm1(N, mode, 22, a, odes[mode]).passed
+                assert verify_thm3(N, mode, 22, b, odes[mode]).passed
+                assert not built, (N, mode)
 
     def test_conv_table_is_the_dense_product(self, monkeypatch):
         """conv_table(60) is `_mul(u, cs, 61)` on the true inputs and with

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from catalan_ode.exact import binomial_general
 from catalan_ode.identities import _derivative
 from catalan_ode.series import (
     Series,
-    _add,
     _mul,
     _square,
     _trim,
@@ -31,6 +31,11 @@ small_rationals = st.integers(1, 6).flatmap(
     lambda d: st.integers(-5 * d, 5 * d).map(lambda n: Fraction(n, d))
 )
 int_lists16 = st.lists(st.integers(-30, 30), min_size=17, max_size=17)
+
+
+def _add(p, q) -> list[int]:
+    """The sum of two coefficient lists, trailing zeros stripped."""
+    return _trim([x + y for x, y in zip_longest(p, q, fillvalue=0)])
 
 
 def test_mul_basic():

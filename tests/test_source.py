@@ -60,7 +60,7 @@ def test_coeff_table_is_an_immutable_value():
         table.extra = 1
     twin = CoeffTable("a", ((1,), (2, 2), (12, 12, 6)))
     assert twin == table and hash(twin) == hash(table)
-    assert CoeffTable("b", table.rows) != table
+    assert CoeffTable("b", table.rows[:2]) != CoeffTable("a", table.rows[:2])
 
 
 def test_run_config_fields_are_the_verify_bounds():
